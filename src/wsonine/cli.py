@@ -180,7 +180,8 @@ def cmd_solve(cfg: RunConfig, kind: str, out_dir: str) -> int:
                         [[f"{p:.17g}", f"{r:.17g}"]
                          for p, r in zip(rep.residual_points, rep.residuals)])
     _note(f"solve kind={kind} N={mesh.n} done; outputs in {out_dir}")
-    summary = {"command": "solve", "status": "ok", "kind": kind}
+    summary = {"command": "solve", "status": "ok", "kind": kind,
+               "jacobi_nodes": rep.meta["jacobi_nodes"]}
     if max_res is not None:
         summary["max_residual"] = max_res
     if err is not None:

@@ -156,7 +156,7 @@ class KernelPair:
             raise DomainError("smooth_factor requires x >= 0")
         out = np.ones_like(x)
         pos = x > 0.0
-        if np.any(pos):
+        if np.any(pos) and not self.exponent.is_constant:
             xp = x[pos]
             out[pos] = _power(xp, self.alpha0 - np.asarray(self.exponent(xp)))
         return float(out) if scalar else out
@@ -166,6 +166,9 @@ class KernelPair:
         tz = np.asarray(t, dtype=float) * np.asarray(z, dtype=float)
         if np.any(np.asarray(tz) <= 0.0):
             raise DomainError("smooth_factor_dt requires t*z > 0")
+        if self.exponent.is_constant:
+            val = np.zeros_like(tz)
+            return float(val) if np.ndim(t) == 0 and np.ndim(z) == 0 else val
         a = np.asarray(self.exponent(tz))
         ap = np.asarray(self.exponent.prime(tz))
         ln_tz = np.log(tz)

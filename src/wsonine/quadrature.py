@@ -3,7 +3,8 @@
 Three tools, all serving integrals whose singular factor is known a priori:
 
 * Gauss-Jacobi rules for integrals against (1-z)^(a0-1) z^(-a0) on (0,1),
-  built by Golub-Welsch from the three-term recurrence;
+  built by Golub-Welsch from the three-term recurrence, optionally after
+  the substitution z = v^p;
 * closed-form product-integration weights for convolving a piecewise-linear
   interpolant with a pure power |t* - s|^(-beta);
 * composite Gauss-Legendre on geometrically graded panels for integrands
@@ -42,29 +43,43 @@ class JacobiRule:
         return float(np.dot(self.weights, phi(self.nodes)))
 
 
-def jacobi_rule(alpha0: float, n: int) -> JacobiRule:
-    """Golub-Welsch construction for Jacobi parameters (alpha0-1, -alpha0)
-    mapped from [-1,1] to [0,1]; total mass is kappa(alpha0)."""
+def jacobi_rule(alpha0: float, n: int, p: int = 1) -> JacobiRule:
+    """Rule for int_0^1 (1-z)^(a0-1) z^(-a0) phi(z) dz; total mass kappa(a0).
+
+    p = 1 is the classical Golub-Welsch rule for Jacobi parameters
+    (a0-1, -a0) mapped from [-1,1] to [0,1].  p > 1 substitutes z = v^p:
+    the weight becomes (1-v)^(a0-1) v^(p(1-a0)-1) times the smooth factor
+    p (1 + v + ... + v^(p-1))^(a0-1), and phi(v^p) flattens the z log z
+    behaviour of variable-exponent integrands, so the rule converges fast
+    on them too.
+    """
     if not 0.0 < alpha0 < 1.0:
         raise ValidationError(f"alpha0 must lie in (0,1), got {alpha0}")
     if n < 1:
         raise ValidationError("need at least one node")
+    if p < 1:
+        raise ValidationError(f"power p must be a positive integer, got {p}")
     a = alpha0 - 1.0
-    b = -alpha0
+    b = -alpha0 if p == 1 else p * (1.0 - alpha0) - 1.0   # p = 1: bit for bit
     diag, off, mass = _jacobi_recurrence(n, a, b)
     if n == 1:
         x = np.array([diag[0]])
         w = np.array([mass])
     else:
         try:
-            x, v = eigh_tridiagonal(diag, off)
+            x, vec = eigh_tridiagonal(diag, off)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise NumericalError(f"Jacobi eigensolver failed for n={n}") from exc
-        w = mass * v[0, :] ** 2
-    z = 0.5 * (x + 1.0)
-    # the affine map has unit Jacobian against this weight: a+b+1 = 0
-    order = np.argsort(z)
-    return JacobiRule(alpha0, z[order], w[order])
+        w = mass * vec[0, :] ** 2
+    order = np.argsort(x)
+    v = 0.5 * (x[order] + 1.0)
+    w = w[order]
+    if p == 1:
+        # the affine map has unit Jacobian against this weight: a+b+1 = 0
+        return JacobiRule(alpha0, v, w)
+    geometric = np.polyval(np.ones(p), v)          # 1 + v + ... + v^(p-1)
+    w = p * 2.0 ** -(a + b + 1.0) * w * geometric ** (alpha0 - 1.0)
+    return JacobiRule(alpha0, v ** p, w)
 
 
 def _jacobi_recurrence(n, a, b):

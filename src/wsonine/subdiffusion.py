@@ -241,4 +241,4 @@ def solve_subdiffusion(config: PdeConfig,
         solve_res[i] = float(np.max(np.abs(resid)))
 
     return PdeSolution(x, t.copy(), u, solve_res, mem_terms,
-                       meta={"m": m, "n": n})
+                       meta={"m": m, "n": n, "jacobi_nodes": data.rule.n})

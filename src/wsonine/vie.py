@@ -472,10 +472,12 @@ def solve_first_kind(problem: FirstKindProblem, mesh: Mesh,
         skp = transform(problem, data, mesh)
         rep = solve_second_kind(skp, mesh)
         rep.meta["strategy"] = "second-kind"
-        return rep
-    if strategy != "first-kind-g":
+    elif strategy == "first-kind-g":
+        rep = _solve_first_kind_g(problem, mesh, data)
+    else:
         raise ValidationError(f"unknown strategy '{strategy}'")
-    return _solve_first_kind_g(problem, mesh, data)
+    rep.meta["jacobi_nodes"] = data.rule.n
+    return rep
 
 
 def _solve_first_kind_g(problem: FirstKindProblem, mesh: Mesh,
@@ -537,6 +539,7 @@ def solve_nonlocal_ode(problem: NonlocalOdeProblem, mesh: Mesh,
         u0=None)
     rep = solve_second_kind(skp, mesh)
     rep.meta["strategy"] = "nonlocal-ode"
+    rep.meta["jacobi_nodes"] = data.rule.n
     return rep
 
 

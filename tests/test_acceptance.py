@@ -133,6 +133,16 @@ def test_criterion_04_manufactured_first_kind(manufactured_pipeline):
           f"order {order:.2f}, error at N=512 {errors[-1]:.2e}, {elapsed:.1f} s")
 
 
+# Max nodal errors of the pipeline at N = 64 .. 512.  A change to the
+# quadrature or the stepping must keep each within 5 %.
+PIPELINE_ERRORS = (7.48963e-4, 1.93804e-4, 4.97293e-5, 1.27272e-5)
+
+
+def test_manufactured_errors_pinned(manufactured_pipeline):
+    errors, _, _ = manufactured_pipeline
+    np.testing.assert_allclose(errors, PIPELINE_ERRORS, rtol=0.05)
+
+
 def test_criterion_05_residual_contraction(manufactured_pipeline):
     _, residuals, _ = manufactured_pipeline
     ratios = [residuals[i + 1] / residuals[i] for i in range(3)]

@@ -5,6 +5,7 @@ import pytest
 from wsonine.cli import main
 from wsonine.config import RunConfig, parse_sections
 from wsonine.errors import ConfigError
+from wsonine.sonine import SONINE_JACOBI_N
 
 ODE_SQRT = """
 [kernel]
@@ -123,6 +124,13 @@ class TestVerify:
             assert (out / name).exists()
         assert "CSC residual" in err
 
+    def test_alpha_near_one_passes(self, tmp_path, capsys):
+        cfg = VERIFY_GOOD.replace('"0.5"', '"0.8"')
+        code, _ = run_cli(tmp_path, cfg, "verify")
+        summary, err = last_json(capsys)
+        assert code == 0, err
+        assert summary["max_residual"] <= 1e-8
+
     def test_bad_weight_fails_naming_condition(self, tmp_path, capsys):
         cfg = VERIFY_GOOD.replace('"1 + s*t"', '"t - s"')
         code, _ = run_cli(tmp_path, cfg, "verify")
@@ -152,6 +160,7 @@ class TestSolve:
         assert code == 0
         assert summary["kind"] == "ode"
         assert summary["error"] <= 1e-2
+        assert summary["jacobi_nodes"] == SONINE_JACOBI_N
         assert (out / "solution.csv").exists()
 
     def test_missing_forcing_exits_2(self, tmp_path, capsys):
@@ -196,6 +205,7 @@ r = 4
         assert code == 0
         assert summary["error"] <= 1e-2
         assert summary["max_residual"] <= 1e-2
+        assert summary["jacobi_nodes"] == SONINE_JACOBI_N
         assert (out / "residuals.csv").exists()
 
     def test_pde_summary_has_error(self, tmp_path, capsys):
@@ -203,6 +213,7 @@ r = 4
         summary, _ = last_json(capsys)
         assert code == 0
         assert summary["error"] <= 5e-2
+        assert summary["jacobi_nodes"] == SONINE_JACOBI_N
         header = (out / "solution.csv").read_text().splitlines()[0]
         assert header == "x,t,u"
 

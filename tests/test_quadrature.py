@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma
 
 from wsonine.errors import NumericalError, ValidationError
 from wsonine.quadrature import (Mesh, default_grading, graded_panel_quad,
                                 jacobi_rule, power_conv_weights, power_moment)
+from wsonine.sonine import SONINE_JACOBI_N, SONINE_JACOBI_POWER
 
 
 def beta_fn(a, b):
@@ -58,6 +60,31 @@ class TestJacobiRule:
             jacobi_rule(1.2, 8)
         with pytest.raises(ValidationError):
             jacobi_rule(0.5, 0)
+        with pytest.raises(ValidationError):
+            jacobi_rule(0.5, 8, p=0)
+
+
+class TestSubstitutedJacobiRule:
+    """The z = v^p rule at the size SonineData uses for every exponent."""
+
+    @given(st.floats(min_value=0.05, max_value=0.95))
+    @settings(max_examples=40, deadline=None)
+    def test_structure_and_moments(self, alpha0):
+        rule = jacobi_rule(alpha0, SONINE_JACOBI_N, SONINE_JACOBI_POWER)
+        z = rule.nodes
+        assert 0.0 < z[0] and z[-1] < 1.0
+        assert np.all(np.diff(z) > 0)
+        assert np.all(rule.weights > 0)
+        for m in range(6):
+            exact = beta_fn(m + 1 - alpha0, alpha0)
+            got = float(np.dot(rule.weights, z ** m))
+            assert got == pytest.approx(exact, rel=1e-12), m
+        # the z^m log z terms a variable exponent brings in
+        for m in range(1, 4):
+            exact = beta_fn(m + 1 - alpha0, alpha0) * (
+                digamma(m + 1 - alpha0) - digamma(m + 1))
+            got = float(np.dot(rule.weights, z ** m * np.log(z)))
+            assert got == pytest.approx(exact, rel=1e-9), m
 
 
 class TestMesh:

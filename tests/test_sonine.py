@@ -6,9 +6,13 @@ import pytest
 from wsonine.errors import DomainError, UnsupportedConfigurationError
 from wsonine.kernels import KernelPair, Weight
 from wsonine.quadrature import Mesh
-from wsonine.sonine import (G_reference, G2_fd, SonineData,
+from wsonine.sonine import (G_reference, G2_fd, SONINE_JACOBI_N, SonineData,
                             associate_from_wsc2, csc_residual, eval_G, eval_g,
                             eval_g2, g_reference, wsc1_report, wsc2_report)
+
+# variable exponents, rising and falling, with alpha(0) across (0,1)
+VARIABLE_EXPONENTS = ["0.5 + 0.1*t", "0.5 + 0.2*sin(t)", "0.3 + 0.4*t",
+                      "0.9 - 0.5*t", "0.95 - 0.9*t", "0.05 + 0.9*t"]
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +113,21 @@ class TestEvalG2:
             got = eval_g2(var_data, s, t)
             assert got == pytest.approx(fd, rel=1e-5, abs=1e-8), (s, t)
 
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("alpha", VARIABLE_EXPONENTS)
+    def test_rule_size_converged(self, alpha, normalized, bilinear):
+        """g and g2 from the fixed-size rule agree with a 96-node rule."""
+        pair = KernelPair.make(alpha, b=1.0, normalized=normalized)
+        data = SonineData.make(pair, bilinear)
+        ref = SonineData.make(pair, bilinear, rule_n=96)
+        assert data.rule.n == SONINE_JACOBI_N
+        ss, tt = np.meshgrid(np.linspace(0.0, 0.45, 6), np.linspace(0.02, 0.55, 6))
+        ss, tt = ss.ravel(), tt.ravel()
+        np.testing.assert_allclose(eval_g(data, ss, tt), eval_g(ref, ss, tt),
+                                   rtol=0, atol=1e-10)
+        np.testing.assert_allclose(eval_g2(data, ss, tt), eval_g2(ref, ss, tt),
+                                   rtol=0, atol=1e-10)
+
     def test_undefined_at_zero(self, var_data):
         with pytest.raises(DomainError):
             eval_g2(var_data, 0.1, 0.0)
@@ -153,9 +172,22 @@ class TestReports:
         assert not rep.passed
         assert any("(i)" in f for f in rep.failures)
 
+    @pytest.mark.parametrize("alpha", ["0.1", "0.2", "0.7", "0.8", "0.9",
+                                       "0.9 - 0.5*t"])
+    def test_wsc1_passes_far_from_one_half(self, alpha, bilinear):
+        """The graded references resolve the k and K singularities for
+        alpha(0) near 0 and near 1."""
+        rep = wsc1_report(SonineData.make(KernelPair.make(alpha, b=1.0), bilinear))
+        assert rep.passed, rep.summary()
+
     def test_wsc2_passes(self, const_pair, bilinear):
         rep = wsc2_report(const_pair, bilinear)
         assert rep.passed
+
+    @pytest.mark.parametrize("alpha", ["0.2", "0.8"])
+    def test_wsc2_passes_far_from_one_half(self, alpha, bilinear):
+        rep = wsc2_report(KernelPair.make(alpha, b=1.0), bilinear)
+        assert rep.passed, rep.summary()
 
     def test_wsc2_rejects_variable_exponent(self, var_pair, bilinear):
         with pytest.raises(UnsupportedConfigurationError):
