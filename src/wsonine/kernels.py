@@ -185,15 +185,16 @@ class KernelPair:
         return val
 
     def gamma_ratio(self, x):
-        """Gamma(1-alpha(0)) / Gamma(1-alpha(x)); identically 1 unless normalized."""
-        if not self.normalized:
+        """Gamma(1-alpha(0)) / Gamma(1-alpha(x)); identically 1 unless
+        normalized with a variable exponent."""
+        if not self.normalized or self.exponent.is_constant:
             return np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
         a = np.asarray(self.exponent(x))
         return gamma(1.0 - self.alpha0) / gamma(1.0 - a)
 
     def gamma_ratio_dx(self, x):
         """d/dx of gamma_ratio, via the digamma function."""
-        if not self.normalized:
+        if not self.normalized or self.exponent.is_constant:
             return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
         from scipy.special import digamma
 

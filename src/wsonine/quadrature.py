@@ -25,6 +25,9 @@ from .kernels import gamma
 DEFAULT_JACOBI_N = 32
 DEFAULT_PANEL_LEVELS = 60
 DEFAULT_PANEL_NODES = 16
+# graded rule on the newest memory panel of the steppers, in the lag variable
+MEMORY_PANEL_LEVELS = 30
+MEMORY_PANEL_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -146,30 +149,58 @@ def power_conv_weights(beta: float, mesh: Mesh, i: int,
         int_0^{t_i} (t_i - s)^(-beta) phihat(s) ds   (singular_end="right")
         int_0^{t_i} s^(-beta)        phihat(s) ds   (singular_end="left")
 
-    exactly for the piecewise-linear interpolant phihat of phi on the mesh.
+    exactly for the piecewise-linear interpolant phihat of phi on the mesh;
+    row i of power_conv_matrix.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValidationError(f"beta must lie in (0,1), got {beta}")
     if not 1 <= i <= mesh.n:
         raise ValidationError(f"step index {i} outside 1..{mesh.n}")
-    t = mesh.points[: i + 1]
+    return _conv_row(beta, mesh.points, i, singular_end, False, np.zeros(i + 1))
+
+
+def power_conv_matrix(beta: float, mesh: Mesh, singular_end: str = "right",
+                      derivative: bool = False) -> np.ndarray:
+    """The lower-triangular (N+1)x(N+1) matrix of the rows i = 1..N above
+    (row 0 is zero).  derivative=True (right end only) gives the L1 rows of
+    d/dt int_0^t (t - s)^(-beta) phihat(s) ds at t = t_i instead:
+    t_i^(-beta) phi_0 + sum_j m0_ij (phi_{j+1} - phi_j) / tau_j."""
+    t = mesh.points
+    w = np.zeros((mesh.n + 1, mesh.n + 1))
+    for i in range(1, mesh.n + 1):
+        _conv_row(beta, t, i, singular_end, derivative, w[i, : i + 1])
+    return w
+
+
+def _conv_row(beta, t, i, singular_end, derivative, out):
+    """Add row i to out[:i+1] (zeroed) from the panel moments
+    m0 = int (.)^(-beta) ds and m1 = int s (.)^(-beta) ds; returns out."""
+    if not 0.0 < beta < 1.0:
+        raise ValidationError(f"beta must lie in (0,1), got {beta}")
     ti = t[i]
-    lo, hi = t[:-1], t[1:]
+    lo, hi = t[:i], t[1 : i + 1]
     h = hi - lo
     if singular_end == "right":
-        # substitute u = t_i - s per panel
-        ua, ub = ti - hi, ti - lo
-        m0 = (ub ** (1.0 - beta) - ua ** (1.0 - beta)) / (1.0 - beta)
-        m1 = ti * m0 - (ub ** (2.0 - beta) - ua ** (2.0 - beta)) / (2.0 - beta)
-    elif singular_end == "left":
-        m0 = (hi ** (1.0 - beta) - lo ** (1.0 - beta)) / (1.0 - beta)
-        m1 = (hi ** (2.0 - beta) - lo ** (2.0 - beta)) / (2.0 - beta)
+        # u = t_i - s per panel; panel j runs from u = lag[j+1] to lag[j]
+        lag = ti - t[: i + 1]
+        p1 = lag ** (1.0 - beta)
+        m0 = (p1[:-1] - p1[1:]) / (1.0 - beta)
+        if derivative:
+            out[0] = ti ** -beta
+            out[:i] -= m0 / h
+            out[1:] += m0 / h
+            return out
+        p2 = lag ** (2.0 - beta)
+        m1 = ti * m0 - (p2[:-1] - p2[1:]) / (2.0 - beta)
+    elif singular_end == "left" and not derivative:
+        p1 = t[: i + 1] ** (1.0 - beta)
+        p2 = t[: i + 1] ** (2.0 - beta)
+        m0 = (p1[1:] - p1[:-1]) / (1.0 - beta)
+        m1 = (p2[1:] - p2[:-1]) / (2.0 - beta)
     else:
-        raise ValidationError("singular_end must be 'left' or 'right'")
-    w = np.zeros(i + 1)
-    np.add.at(w, np.arange(i), (hi * m0 - m1) / h)
-    np.add.at(w, np.arange(1, i + 1), (m1 - lo * m0) / h)
-    return w
+        raise ValidationError("singular_end must be 'left' or 'right' "
+                              "('right' for the derivative form)")
+    out[:i] += (hi * m0 - m1) / h
+    out[1:] += (m1 - lo * m0) / h
+    return out
 
 
 def power_moment(beta: float, upper: float) -> float:
@@ -212,6 +243,18 @@ def graded_nodes(a: float, b: float, singular_end: str = "left",
     pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     wts = (half[:, None] * w[None, :]).ravel()
     return pts, wts
+
+
+def lag_rule(tau: float):
+    """graded_nodes(0, tau, "left") at the memory-panel size, scaled from
+    one unit rule built once."""
+    x, w = _unit_lag_rule()
+    return tau * x, tau * w
+
+
+@lru_cache(maxsize=1)
+def _unit_lag_rule():
+    return graded_nodes(0.0, 1.0, "left", MEMORY_PANEL_LEVELS, MEMORY_PANEL_NODES)
 
 
 def graded_panel_quad(fn, a: float, b: float, singular_end: str = "left",

@@ -311,20 +311,8 @@ def wsc2_report(pair: KernelPair, weight: Weight, grid=None,
 
 # --------------------------------------- constructive associate (WSC2 route)
 
-@dataclass
-class AssociateResult:
-    t: np.ndarray
-    u: np.ndarray
-    checkpoints: np.ndarray
-    csc_residuals: np.ndarray
-
-    @property
-    def max_csc_residual(self) -> float:
-        return float(np.max(np.abs(self.csc_residuals)))
-
-
 def associate_from_wsc2(pair: KernelPair, weight: Weight, mesh,
-                        checkpoints=(0.25, 0.5, 1.0)) -> AssociateResult:
+                        checkpoints=(0.25, 0.5, 1.0)) -> "vie.AssociateConstruction":
     """Solve u G(0,0) + int_0^t u(y) G2(0,t-y) dy = w(0,t) K(t) and report
     how well the result satisfies the classical condition for k."""
     from . import vie  # deferred: vie builds on this module
@@ -345,4 +333,4 @@ def associate_from_wsc2(pair: KernelPair, weight: Weight, mesh,
     rep = vie.solve_second_kind(problem, mesh)
     cps = np.asarray([vie.snap_to_mesh(mesh, c * pair.b) for c in checkpoints])
     res = np.asarray([vie.conv_with_k(pair, mesh, rep.u, tc) - 1.0 for tc in cps])
-    return AssociateResult(rep.t, rep.u, cps, res)
+    return vie.AssociateConstruction(rep.t, rep.u, cps, res)

@@ -27,12 +27,10 @@ from scipy.linalg import solve_banded
 from .errors import NumericalError, ValidationError
 from .expr import ExprAst, parse_expr
 from .kernels import KernelPair, Weight, gamma
-from .quadrature import Mesh, graded_nodes
+from .quadrature import Mesh, lag_rule, power_conv_matrix
 from .sonine import SonineData, eval_g2, wsc1_report
 
 INSTABILITY_FACTOR = 1e3
-MEMORY_PANEL_LEVELS = 30
-MEMORY_PANEL_NODES = 8
 
 
 def _space_time_fn(expr) -> Callable:
@@ -100,7 +98,6 @@ class PdeSolution:
     t: np.ndarray
     u: np.ndarray                 # shape (len(t), len(x)), interior values
     solve_residuals: np.ndarray   # per-step linear-solve residual (inf norm)
-    memory_terms: np.ndarray      # per-step count of memory panels
     meta: dict = field(default_factory=dict)
 
     def final_l2_error(self, exact) -> float:
@@ -126,25 +123,13 @@ def l1_weights(alpha0: float, mesh: Mesh,
         d/dt int_0^{t_i} K(t_i - s) phihat(s) ds = sum_j a_{ij} phi(t_j)
 
     exact for piecewise-linear phihat, where K(t) = t^(alpha0-1)/Gamma(alpha0)
-    (or /assoc_norm when given).  Row 0 is zero; the boundary term K(t_i)phi_0
-    is folded into a_{i0}.
+    (or /assoc_norm when given): the derivative form of power_conv_matrix.
+    Row 0 is zero; the boundary term K(t_i)phi_0 is folded into a_{i0}.
     """
     if not 0.0 < alpha0 < 1.0:
         raise ValidationError(f"alpha0 must lie in (0,1), got {alpha0}")
-    norm = gamma(alpha0) if assoc_norm is None else assoc_norm
-    t = mesh.points
-    n = mesh.n
-    w = np.zeros((n + 1, n + 1))
-    for i in range(1, n + 1):
-        # I_j = int over panel j of K(t_i - s) ds, j = 1..i
-        upper = (t[i] - t[:i]) ** alpha0
-        lower = (t[i] - t[1: i + 1]) ** alpha0
-        panel = (upper - lower) / (alpha0 * norm)
-        tau = mesh.tau[:i]
-        rate = panel / tau
-        w[i, 0] = t[i] ** (alpha0 - 1.0) / norm - rate[0]
-        w[i, 1:i] = rate[:-1] - rate[1:]
-        w[i, i] = rate[-1]
+    w = power_conv_matrix(1.0 - alpha0, mesh, "right", derivative=True)
+    w /= gamma(alpha0) if assoc_norm is None else assoc_norm
     return w
 
 
@@ -163,8 +148,7 @@ def _memory_panel_integrals(data: SonineData, mesh: Mesh, i: int,
         ss = mid[:, None] + half[:, None] * gl[0][None, :]
         vals = eval_g2(data, ss.ravel(), (ti - ss).ravel()).reshape(ss.shape)
         out[: i - 1] = np.sum(half[:, None] * gl[1][None, :] * vals, axis=1)
-    xs, xw = graded_nodes(0.0, ti - t[i - 1], "left",
-                          MEMORY_PANEL_LEVELS, MEMORY_PANEL_NODES)
+    xs, xw = lag_rule(ti - t[i - 1])
     out[i - 1] = np.dot(xw, eval_g2(data, ti - xs, xs))
     return out
 
@@ -205,19 +189,15 @@ def solve_subdiffusion(config: PdeConfig,
     laps = np.zeros_like(u)
     laps[0] = lap(u[0])
     solve_res = np.zeros(n + 1)
-    mem_terms = np.zeros(n + 1, dtype=int)
 
     for i in range(1, n + 1):
         gi = gdiag[i]
         b_panels = _memory_panel_integrals(data, mesh, i)
-        mem_terms[i] = i
-        rhs = u[i - 1] / tau[i - 1]
-        if i > 1:
-            diffs = (u[1:i] - u[: i - 1]) / tau[: i - 1, None]
-            rhs -= (b_panels[: i - 1, None] * diffs).sum(axis=0) / gi
-        rhs += b_panels[i - 1] / (gi * tau[i - 1]) * u[i - 1]
-        rhs += (lw[i, :i, None] * laps[:i]).sum(axis=0) / gi
-        rhs += (lw[i, : i + 1, None] * fvals[: i + 1]).sum(axis=0) / gi
+        # memory term -sum_{j<i-1} B_j (u_{j+1} - u_j)/tau_j + B_{i-1} u_{i-1}/tau_{i-1}
+        # regrouped by u_j: the coefficients are differences of B_j / tau_j
+        c = np.diff(b_panels / tau[:i], prepend=0.0)
+        rhs = u[i - 1] / tau[i - 1] + (
+            c @ u[:i] + lw[i, :i] @ laps[:i] + lw[i, : i + 1] @ fvals[: i + 1]) / gi
 
         shift = 1.0 / tau[i - 1] + b_panels[i - 1] / (gi * tau[i - 1])
         coef = lw[i, i] / gi
@@ -240,5 +220,5 @@ def solve_subdiffusion(config: PdeConfig,
         resid = (shift * ui - coef * lap(ui)) - rhs
         solve_res[i] = float(np.max(np.abs(resid)))
 
-    return PdeSolution(x, t.copy(), u, solve_res, mem_terms,
+    return PdeSolution(x, t.copy(), u, solve_res,
                        meta={"m": m, "n": n, "jacobi_nodes": data.rule.n})

@@ -22,20 +22,18 @@ import numpy as np
 from .errors import DomainError, NumericalError, ValidationError
 from .expr import ExprAst, as_function, diff_expr, parse_expr
 from .kernels import KernelPair, Weight
-from .quadrature import (Mesh, graded_nodes, graded_panel_quad,
+from .quadrature import (Mesh, graded_panel_quad, lag_rule, power_conv_matrix,
                          power_conv_weights)
 from .sonine import SonineData, eval_g, eval_g2, wsc1_report
-
-MEMORY_PANEL_LEVELS = 30
-MEMORY_PANEL_NODES = 8
 
 
 # ------------------------------------------------------------------ types
 
 @dataclass
 class Forcing:
-    """f with its derivative; f' may blow up like t^(-alpha) at zero when
-    the forcing comes from a manufactured-solution oracle.
+    """f with its derivative, both evaluated on arrays of points; f' may
+    blow up like t^(-alpha) at zero when the forcing comes from a
+    manufactured-solution oracle.
 
     When f comes from a weighted convolution of a known solution u, the
     derivative splits as f'(s) = u0 * w(0,s) k(s) + prime_bulk(s) with a
@@ -77,16 +75,21 @@ def manufactured_forcing(pair: KernelPair, weight: Weight, u,
     up_fn = as_function(diff_expr(u_ast, "t"))
     u0 = float(u_ast.eval({"t": 0.0}))
 
+    def pointwise(integral):
+        """One graded quadrature per point; zero at t <= 0."""
+        def fn(t):
+            vals = [integral(float(v)) if v > 0.0 else 0.0 for v in np.ravel(t)]
+            return np.reshape(vals, np.shape(t)) if np.ndim(t) else vals[0]
+        return fn
+
+    @pointwise
     def f(t):
-        if t <= 0.0:
-            return 0.0
         return graded_panel_quad(
             lambda z: np.asarray(weight(t - z, t)) * pair.k(z) * np.asarray(u_fn(t - z)),
             0.0, t, "left", levels=levels)
 
+    @pointwise
     def prime_bulk(t):
-        if t <= 0.0:
-            return 0.0
         return graded_panel_quad(
             lambda z: pair.k(z) * (
                 (np.asarray(weight.ds(t - z, t)) + np.asarray(weight.dt(t - z, t)))
@@ -95,9 +98,9 @@ def manufactured_forcing(pair: KernelPair, weight: Weight, u,
             0.0, t, "left", levels=levels)
 
     def f_prime(t):
-        if t <= 0.0:
+        if np.any(np.asarray(t) <= 0.0):
             raise DomainError("manufactured f' is singular at t = 0")
-        return float(weight(0.0, t)) * pair.k(t) * u0 + prime_bulk(t)
+        return weight(0.0, t) * pair.k(t) * u0 + prime_bulk(t)
 
     return Forcing(f, f_prime, 0.0, prime_singular_at_zero=(u0 != 0.0),
                    prime_bulk=prime_bulk, u0=u0)
@@ -214,7 +217,6 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
         u[0] = u0
 
     gl_x, gl_w = np.polynomial.legendre.leggauss(2)
-    lag_pts_cache = {}
 
     for i in range(1, n + 1):
         ti = t[i]
@@ -237,12 +239,7 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
             interior = float(np.sum(half[:, None] * gl_w[None, :] * mvals * uhat))
 
         # last panel in the lag variable x = t_i - y, singular end at x = 0
-        key = float(tau_i)
-        if key not in lag_pts_cache:
-            lag_pts_cache[key] = graded_nodes(0.0, tau_i, "left",
-                                              MEMORY_PANEL_LEVELS,
-                                              MEMORY_PANEL_NODES)
-        xs, xw = lag_pts_cache[key]
+        xs, xw = lag_rule(tau_i)
         mlast = np.asarray(problem.m(ti - xs, ti))
         if not np.all(np.isfinite(mlast)):
             raise NumericalError(f"non-finite memory kernel near t = {ti}")
@@ -314,15 +311,17 @@ def rhs_K_conv(pair: KernelPair, forcing: Forcing, c: float,
     """r_i = c K(t_i) + int_0^{t_i} K(t_i - y) f(y) dy on the mesh nodes;
     r_0 is infinite when c != 0 (the solver starts from the limit branch)."""
     t = mesh.points
-    r = np.empty(mesh.n + 1)
+    w = power_conv_matrix(1.0 - pair.alpha0, mesh, "right")
+    r = w @ _values(forcing.f, t) / pair.assoc_norm
     r[0] = forcing.f0 * 0.0 if c == 0.0 else np.inf
-    fvals = np.asarray([float(forcing.f(ti)) for ti in t])
-    for i in range(1, mesh.n + 1):
-        w = power_conv_weights(1.0 - pair.alpha0, mesh, i, "right")
-        r[i] = np.dot(w, fvals[: i + 1]) / pair.assoc_norm
-        if c != 0.0:
-            r[i] += c * pair.K(t[i])
+    if c != 0.0:
+        r[1:] += c * pair.K(t[1:])
     return r
+
+
+def _values(fn, x):
+    """fn on the array x, with a constant result broadcast to x's shape."""
+    return np.broadcast_to(np.asarray(fn(x), dtype=float), np.shape(x))
 
 
 def _split_singular_conv(left_factor, right_lag_factor, ti: float,
@@ -341,10 +340,6 @@ def _split_singular_conv(left_factor, right_lag_factor, ti: float,
     return left + right
 
 
-def _scalar_map(fn):
-    return lambda x: np.asarray([float(fn(float(v))) for v in np.atleast_1d(x)])
-
-
 def _K_conv_fprime(pair: KernelPair, weight: Weight, forcing: Forcing,
                    mesh: Mesh) -> np.ndarray:
     """int_0^{t_i} K(t_i - s) f'(s) ds on the mesh nodes.
@@ -355,30 +350,24 @@ def _K_conv_fprime(pair: KernelPair, weight: Weight, forcing: Forcing,
     would freeze the error of the first few solution values)."""
     t = mesh.points
     n = mesh.n
-    out = np.zeros(n + 1)
     beta = 1.0 - pair.alpha0
     if not forcing.prime_singular_at_zero:
-        fp = np.asarray([float(forcing.f_prime(ti)) if ti > 0 else float(forcing.f_prime(0.0))
-                         for ti in t])
-        for i in range(1, n + 1):
-            w = power_conv_weights(beta, mesh, i, "right")
-            out[i] = np.dot(w, fp[: i + 1]) / pair.assoc_norm
-        return out
+        w = power_conv_matrix(beta, mesh, "right")
+        return w @ _values(forcing.f_prime, t) / pair.assoc_norm
 
     if forcing.has_prime_split:
-        fb = np.concatenate(([0.0], [float(forcing.prime_bulk(ti)) for ti in t[1:]]))
+        fb = np.concatenate(([0.0], _values(forcing.prime_bulk, t[1:])))
+        out = power_conv_matrix(beta, mesh, "right") @ fb
         for i in range(1, n + 1):
-            ti = t[i]
-            w = power_conv_weights(beta, mesh, i, "right")
             boundary = _split_singular_conv(
                 lambda s: np.asarray(weight(0.0, s)) * pair.k(s),
-                lambda x: x ** (-beta), ti)
-            out[i] = (forcing.u0 * boundary + np.dot(w, fb[: i + 1])) / pair.assoc_norm
-        return out
+                lambda x: x ** (-beta), t[i])
+            out[i] += forcing.u0 * boundary
+        return out / pair.assoc_norm
 
-    fprime = _scalar_map(forcing.f_prime)
+    out = np.zeros(n + 1)
     for i in range(1, n + 1):
-        out[i] = _split_singular_conv(fprime, lambda x: x ** (-beta),
+        out[i] = _split_singular_conv(forcing.f_prime, lambda x: x ** (-beta),
                                       t[i]) / pair.assoc_norm
     return out
 
@@ -435,20 +424,18 @@ def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
     r = np.empty(n + 1)
     exact_zero = forcing.f0 == 0.0 and not forcing.prime_singular_at_zero
     r[0] = 0.0 if exact_zero else np.inf
-    fprime = _scalar_map(forcing.f_prime)
-    for i in range(1, n + 1):
-        if forcing.prime_singular_at_zero:
-            # s^(-a0) psi(s) at the left end, f'(t_i - s) blowing up at the
-            # right end: split graded quadrature, lag variable on the right
+    if forcing.prime_singular_at_zero:
+        # s^(-a0) psi(s) at the left end, f'(t_i - s) blowing up at the
+        # right end: split graded quadrature, lag variable on the right
+        for i in range(1, n + 1):
             r[i] = _split_singular_conv(
-                lambda s: s ** (-pair.alpha0) * psi_fn(s), fprime, t[i])
-        else:
-            w = power_conv_weights(pair.alpha0, mesh, i, "left")
-            fp = np.asarray([float(forcing.f_prime(float(t[i] - s))) if t[i] - s > 0
-                             else float(forcing.f_prime(0.0))
-                             for s in t[: i + 1]])
-            r[i] = np.dot(w, psi[: i + 1] * fp)
-        r[i] += forcing.f0 * float(weight(0.0, t[i])) * pair.k(t[i])
+                lambda s: s ** (-pair.alpha0) * psi_fn(s), forcing.f_prime, t[i])
+    else:
+        w = power_conv_matrix(pair.alpha0, mesh, "left")
+        for i in range(1, n + 1):
+            fp = _values(forcing.f_prime, t[i] - t[: i + 1])
+            r[i] = w[i, : i + 1] @ (psi[: i + 1] * fp)
+    r[1:] += forcing.f0 * weight(0.0, t[1:]) * pair.k(t[1:])
 
     g00 = float(weight(0.0, 0.0))
     return SecondKindProblem(
@@ -492,21 +479,21 @@ def _solve_first_kind_g(problem: FirstKindProblem, mesh: Mesh,
     mids = 0.5 * (t[:-1] + t[1:])
     umid = np.zeros(n)
 
-    fvals = np.asarray([float(forcing.f(ti)) for ti in t])
-    psi = None
-    if problem.variant == "K-kernel":
+    if problem.variant == "weighted-k":
+        w = power_conv_matrix(1.0 - pair.alpha0, mesh, "right")
+        rhs_all = w @ _values(forcing.f, t) / pair.assoc_norm
+    else:
+        w = power_conv_matrix(pair.alpha0, mesh, "left")
         psi = np.asarray(weight(np.zeros(n + 1), t)) * np.asarray(pair.k_smooth_part(t))
 
     for i in range(1, n + 1):
         ti = t[i]
         if problem.variant == "weighted-k":
-            w = power_conv_weights(1.0 - pair.alpha0, mesh, i, "right")
-            rhs = float(np.dot(w, fvals[: i + 1])) / pair.assoc_norm
+            rhs = rhs_all[i]
             gvals = eval_g(data, mids[:i], ti - mids[:i])
         else:
-            w = power_conv_weights(pair.alpha0, mesh, i, "left")
-            fshift = np.asarray([float(forcing.f(float(ti - s))) for s in t[: i + 1]])
-            rhs = float(np.dot(w, psi[: i + 1] * fshift))
+            fshift = _values(forcing.f, ti - t[: i + 1])
+            rhs = float(w[i, : i + 1] @ (psi[: i + 1] * fshift))
             gvals = eval_g(data, np.zeros(i), ti - mids[:i])
         coeffs = tau[:i] * np.atleast_1d(gvals)
         acc = float(np.dot(coeffs[: i - 1], umid[: i - 1])) if i > 1 else 0.0

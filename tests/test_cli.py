@@ -176,6 +176,29 @@ class TestSolve:
         assert code == 4
         assert summary["status"] == "numerical-failure"
 
+    def test_manufactured_vie1k_zero_start_exits_4(self, tmp_path, capsys):
+        # u = t: the K-kernel right-hand side asks for the manufactured f'
+        # at t = 0, where it is singular
+        cfg = """
+[kernel]
+alpha = "0.5"
+
+[weight]
+w = "1 + s*t"
+
+[forcing]
+manufactured = true
+exact = "t"
+
+[mesh]
+n = 8
+r = 4
+"""
+        code, _ = run_cli(tmp_path, cfg, "solve", "--kind", "vie1k")
+        summary, _ = last_json(capsys)
+        assert code == 4
+        assert summary["status"] == "numerical-failure"
+
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         _, out = run_cli(tmp_path, ODE_SQRT, "solve", "--kind", "ode")
         first = (out / "solution.csv").read_bytes()

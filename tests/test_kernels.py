@@ -79,6 +79,13 @@ class TestKernelPair:
         assert pair.assoc_norm == pytest.approx(math.gamma(0.5))
         assert pair.gamma_ratio(0.5) == pytest.approx(1.0)
 
+    def test_gamma_ratio_constant_exponent(self):
+        pair = KernelPair.make("0.3", normalized=True)
+        x = np.linspace(0.0, 1.0, 5)
+        np.testing.assert_array_equal(pair.gamma_ratio(x), np.ones(5))
+        np.testing.assert_array_equal(pair.gamma_ratio_dx(x), np.zeros(5))
+        assert pair.gamma_ratio(0.5) == 1.0 and pair.gamma_ratio_dx(0.5) == 0.0
+
     def test_gamma_ratio_variable(self):
         pair = KernelPair.make("0.5 + 0.2*t", normalized=True)
         want = math.gamma(0.5) / math.gamma(1.0 - 0.6)

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from scipy.special import digamma
 
 from wsonine.errors import NumericalError, ValidationError
-from wsonine.quadrature import (Mesh, default_grading, graded_panel_quad,
-                                jacobi_rule, power_conv_weights, power_moment)
+from wsonine.quadrature import (MEMORY_PANEL_LEVELS, MEMORY_PANEL_NODES, Mesh,
+                                default_grading, graded_nodes,
+                                graded_panel_quad, jacobi_rule, lag_rule,
+                                power_conv_matrix, power_conv_weights,
+                                power_moment)
 from wsonine.sonine import SONINE_JACOBI_N, SONINE_JACOBI_POWER
 
 
@@ -141,6 +144,60 @@ class TestPowerConvWeights:
             power_conv_weights(0.5, mesh, 0)
         with pytest.raises(ValidationError):
             power_conv_weights(0.5, mesh, 4, "middle")
+
+
+class TestPowerConvMatrix:
+    @settings(max_examples=40, deadline=None)
+    @given(beta=st.floats(0.05, 0.95), r=st.floats(1.0, 4.0),
+           n=st.integers(2, 64), end=st.sampled_from(["right", "left"]))
+    def test_rows_are_the_row_weights(self, beta, r, n, end):
+        mesh = Mesh(1.0, n, r)
+        w = power_conv_matrix(beta, mesh, end)
+        assert w.shape == (n + 1, n + 1)
+        assert not np.any(w[0])
+        assert not np.any(np.triu(w, 1))
+        for i in range(1, n + 1):
+            np.testing.assert_allclose(w[i, : i + 1],
+                                       power_conv_weights(beta, mesh, i, end),
+                                       rtol=1e-14, atol=0.0)
+        sums = np.array([power_moment(beta, ti) for ti in mesh.points[1:]])
+        np.testing.assert_allclose(w[1:].sum(axis=1), sums, rtol=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(beta=st.floats(0.05, 0.95), r=st.floats(1.0, 4.0),
+           n=st.integers(2, 64))
+    def test_derivative_form_exact_on_linear_data(self, beta, r, n):
+        # d/dt int_0^t (t-s)^(-beta) (a + b s) ds
+        #   = a t^(-beta) + b t^(1-beta) / (1-beta)
+        mesh = Mesh(1.0, n, r)
+        t = mesh.points
+        w = power_conv_matrix(beta, mesh, "right", derivative=True)
+        assert not np.any(w[0])
+        assert not np.any(np.triu(w, 1))
+        np.testing.assert_allclose(w[1:] @ np.ones(n + 1), t[1:] ** -beta,
+                                   rtol=1e-11)
+        np.testing.assert_allclose(w[1:] @ t, t[1:] ** (1.0 - beta) / (1.0 - beta),
+                                   rtol=1e-11)
+
+    def test_validation(self):
+        mesh = Mesh(1.0, 8)
+        with pytest.raises(ValidationError):
+            power_conv_matrix(1.5, mesh)
+        with pytest.raises(ValidationError):
+            power_conv_matrix(0.5, mesh, "middle")
+        with pytest.raises(ValidationError):
+            power_conv_matrix(0.5, mesh, "left", derivative=True)
+
+
+class TestLagRule:
+    @pytest.mark.parametrize("tau", [1.0, 0.37, 1e-7])
+    def test_scaled_unit_rule_matches_direct_build(self, tau):
+        xs, xw = lag_rule(tau)
+        want_x, want_w = graded_nodes(0.0, tau, "left", MEMORY_PANEL_LEVELS,
+                                      MEMORY_PANEL_NODES)
+        np.testing.assert_allclose(xs, want_x, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(xw, want_w, rtol=1e-14, atol=0.0)
+        assert xw.sum() == pytest.approx(tau, rel=1e-14)
 
 
 class TestGradedPanelQuad:

@@ -158,6 +158,25 @@ class TestSolver:
         both = solve_subdiffusion(combo)
         np.testing.assert_allclose(both.u, sols[0].u + sols[1].u, atol=1e-12)
 
+    @pytest.mark.parametrize("alpha, w, r, want", [
+        ("0.5", "1", 1.0, 0.005497351719386538),
+        ("0.5", "1", 4.0, 0.010452727838838287),
+        # w != 1 switches the memory term on; the forcing is the w = 1 one,
+        # so these pin a distance, not a discretization error
+        ("0.5", "1 + s*t", 4.0, 0.08067538522603199),
+        ("0.5 + 0.2*t", "1 + s*t", 4.0, 0.07399768663321306)])
+    def test_errors_pinned(self, alpha, w, r, want):
+        # final-time distance to t^2 sin(pi x) (M = 16, N = 32), as computed
+        # by the broadcast history sums that the matrix-vector products replaced
+        cfg = PdeConfig(m=16, mesh=Mesh(1.0, 32, r),
+                        pair=KernelPair.make(alpha, normalized=True),
+                        weight=Weight.from_expr(w),
+                        forcing="(1.5045055561273502*t^1.5 + 9.869604401089358*t^2)"
+                                " * sin(3.141592653589793*x)",
+                        initial="0", exact="t^2 * sin(3.141592653589793*x)")
+        err = solve_subdiffusion(cfg).final_l2_error(cfg.exact)
+        assert err == pytest.approx(want, rel=1e-9)
+
     def test_manufactured_solution_error(self, npair, unit_weight):
         errs = []
         for n, m in ((32, 16), (64, 32)):

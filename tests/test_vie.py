@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wsonine.errors import NumericalError, ValidationError
+from wsonine.errors import DomainError, NumericalError, ValidationError
 from wsonine.kernels import KernelPair, Weight
 from wsonine.quadrature import Mesh
 from wsonine.sonine import SonineData
@@ -71,6 +71,24 @@ class TestManufacturedForcing:
     def test_zero_start_solution_not_flagged_singular(self, const_pair, bilinear):
         fc = manufactured_forcing(const_pair, bilinear, "t")
         assert not fc.prime_singular_at_zero
+
+    def test_array_calls_match_scalar_calls(self, const_pair, bilinear):
+        fc = manufactured_forcing(const_pair, bilinear, "1 + t")
+        t = np.array([[0.0, 0.2], [0.5, 0.9]])
+        for fn in (fc.f, fc.prime_bulk):
+            got = fn(t)
+            assert got.shape == t.shape
+            np.testing.assert_array_equal(got.ravel(), [fn(v) for v in t.ravel()])
+        assert fc.f(0.0) == 0.0
+        got = fc.f_prime(t[1])
+        np.testing.assert_array_equal(got, [fc.f_prime(v) for v in t[1]])
+
+    def test_prime_rejects_any_point_at_zero(self, const_pair, bilinear):
+        fc = manufactured_forcing(const_pair, bilinear, "t")
+        with pytest.raises(DomainError):
+            fc.f_prime(np.array([0.5, 0.25, 0.0]))
+        with pytest.raises(DomainError):
+            fc.f_prime(0.0)
 
 
 class TestSecondKindEngine:
@@ -154,6 +172,31 @@ class TestMeshHelpers:
 
 
 class TestFirstKind:
+    # the K-kernel problem u = t, f = t^(a0+1) / (a0 (a0+1) kappa(a0)) at
+    # a0 = 1/2, w = 1 + s t, r = 4; max nodal errors of the row-by-row
+    # assembly these weights replaced
+    K_KERNEL_ERRORS = {("second-kind", 64): 0.0018537076528060137,
+                       ("second-kind", 128): 0.0006780720961864217,
+                       ("first-kind-g", 64): 0.00018947279552972152,
+                       ("first-kind-g", 128): 4.8835301492689e-05}
+
+    @pytest.mark.parametrize("strategy, n", list(K_KERNEL_ERRORS))
+    def test_k_kernel_errors_pinned(self, const_pair, bilinear, const_data,
+                                    strategy, n):
+        scale = 1.0 / (0.5 * 1.5 * math.pi)
+        fc = Forcing.from_expr(f"{scale!r}*t^1.5")
+        prob = FirstKindProblem(const_pair, bilinear, fc, variant="K-kernel")
+        rep = solve_first_kind(prob, Mesh(1.0, n, 4.0), strategy, const_data)
+        err = float(np.max(np.abs(rep.u - rep.t)))
+        assert err == pytest.approx(self.K_KERNEL_ERRORS[strategy, n], rel=1e-9)
+
+    def test_constant_expression_forcing(self, const_pair, bilinear, const_data):
+        # f' = 0 evaluates to a scalar; the assembly broadcasts it
+        fc = Forcing.from_expr("2")
+        prob = FirstKindProblem(const_pair, bilinear, fc, variant="K-kernel")
+        rep = solve_first_kind(prob, Mesh(1.0, 16, 4.0), "second-kind", const_data)
+        assert np.all(np.isfinite(rep.u))
+
     def test_transform_rhs_start_value(self, const_pair, bilinear, const_data):
         mesh = Mesh(1.0, 16, 4.0)
         smooth = FirstKindProblem(const_pair, bilinear, Forcing.from_expr("t^2"))
