@@ -6,13 +6,13 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
+from wsonine.expr import as_function
 from wsonine.kernels import KernelPair, Weight
 from wsonine.quadrature import Mesh
 from wsonine.sonine import SonineData
 from wsonine.vie import (FirstKindProblem, manufactured_forcing,
-                         max_node_error, solve_first_kind)
+                         max_node_error, observed_orders, refinement_study,
+                         solve_first_kind)
 
 
 def main(argv=None):
@@ -30,22 +30,20 @@ def main(argv=None):
     data = SonineData.make(pair, weight)
     forcing = manufactured_forcing(pair, weight, args.exact)
     problem = FirstKindProblem(pair, weight, forcing)
-    from wsonine.expr import as_function
     exact = as_function(args.exact)
 
     print(f"alpha = {args.alpha!r}, w = {args.weight!r}, u = {args.exact!r}")
-    prev = None
-    n = args.n
-    for _ in range(args.doublings + 1):
-        start = time.perf_counter()
-        mesh = Mesh(pair.b, n, args.grading)
-        rep = solve_first_kind(problem, mesh, "second-kind", data)
-        err = max_node_error(mesh, rep.u, exact)
-        order = f"{np.log2(prev / err):.2f}" if prev else "  - "
-        print(f"N = {n:5d}  error = {err:.3e}  order = {order}  "
-              f"({time.perf_counter() - start:.2f} s)")
-        prev = err
-        n *= 2
+    start = time.perf_counter()
+    history, _ = refinement_study(
+        lambda mesh: solve_first_kind(problem, mesh, "second-kind", data),
+        Mesh(pair.b, args.n, args.grading),
+        lambda rep: max_node_error(rep.mesh, rep.u, exact), args.doublings)
+    orders = observed_orders([err for _, err in history])
+    for (n, err), order in zip(history, orders):
+        shown = "  - " if order is None else (
+            order if isinstance(order, str) else f"{order:.2f}")
+        print(f"N = {n:5d}  error = {err:.3e}  order = {shown}")
+    print(f"({time.perf_counter() - start:.2f} s in total)")
     return 0
 
 

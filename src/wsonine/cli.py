@@ -8,7 +8,7 @@ failure, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import os
 import sys
@@ -17,8 +17,10 @@ import numpy as np
 
 from . import vie
 from .config import RunConfig
+from .csvfile import write_csv
 from .errors import (ConfigError, DomainError, ExprError, NumericalError,
                      UnsupportedConfigurationError, ValidationError)
+from .expr import as_function
 from .kernels import licm_check
 from .quadrature import Mesh
 from .sonine import (SonineData, csc_residual, wsc1_report, wsc2_report)
@@ -45,13 +47,6 @@ def _ensure_out(path: str) -> str:
     return path
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(header)
-        out.writerows(rows)
-
-
 # ----------------------------------------------------------------- verify
 
 def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
@@ -61,17 +56,17 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
     tol = cfg.identity_tol
     failures = []
     residuals = []
+    checks = {"csc": "skipped", "wsc1": "skipped", "wsc2": "skipped",
+              "licm": "skipped"}
 
     if pair.exponent.is_constant:
         ts = [0.1 * k * pair.b for k in range(1, 11)]
-        rows = []
-        worst = 0.0
-        for t in ts:
-            r = csc_residual(pair, t, cfg.jacobi_n)
-            worst = max(worst, r)
-            rows.append([f"{t:.17g}", f"{r:.17g}"])
-        _write_rows(os.path.join(out_dir, "csc.csv"), ["t", "residual"], rows)
+        rs = [csc_residual(pair, t, cfg.jacobi_n) for t in ts]
+        write_csv(os.path.join(out_dir, "csc.csv"), ["t", "residual"],
+                  zip(ts, rs))
+        worst = max(rs)
         residuals.append(worst)
+        checks["csc"] = "pass" if worst <= tol else "fail"
         _note(f"CSC residual: max {worst:.3e} over {len(ts)} points "
               f"({'pass' if worst <= tol else 'FAIL'})")
         if worst > tol:
@@ -82,6 +77,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
     rep1 = wsc1_report(data, tolerance=tol)
     rep1.write_csv(os.path.join(out_dir, "wsc1.csv"))
     residuals.append(rep1.max_residual)
+    checks["wsc1"] = "pass" if rep1.passed else "fail"
     _note(rep1.summary())
     failures.extend(rep1.failures)
 
@@ -89,14 +85,16 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
         rep2 = wsc2_report(pair, weight, tolerance=tol)
         rep2.write_csv(os.path.join(out_dir, "wsc2.csv"))
         residuals.append(rep2.max_residual)
+        checks["wsc2"] = "pass" if rep2.passed else "fail"
         _note(rep2.summary())
         failures.extend(rep2.failures)
     else:
         _note("WSC2: skipped (supported for constant exponents only)")
 
     lic = licm_check(pair.k, b=pair.b)
-    status = "pass" if lic.passed else "FAIL"
-    _note(f"LICM screen of k up to order {lic.max_order}: {status}"
+    checks["licm"] = "pass" if lic.passed else "fail"
+    _note(f"LICM screen of k up to order {lic.max_order}: "
+          f"{'pass' if lic.passed else 'FAIL'}"
           + ("" if lic.passed else f" (first violation {lic.first_violation})"))
     if not lic.passed:
         failures.append("licm")
@@ -105,7 +103,8 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
     _emit({"command": "verify",
            "status": "pass" if ok else "fail",
            "max_residual": max(residuals) if residuals else None,
-           "failures": sorted(set(failures))})
+           "failures": sorted(set(failures)),
+           "checks": checks})
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -121,18 +120,10 @@ def _build_forcing(cfg: RunConfig, pair, weight) -> vie.Forcing:
     return vie.Forcing.from_expr(cfg.f_expr)
 
 
-def _exact_fn(cfg: RunConfig):
-    if cfg.exact_expr is None:
-        return None
-    from .expr import as_function
-    return as_function(cfg.exact_expr)
-
-
 def _solve_once(cfg: RunConfig, kind: str, mesh: Mesh):
     """Returns (report-like, error-vs-exact or None, max_residual or None)."""
     pair = cfg.make_pair()
     weight = cfg.make_weight()
-    exact = _exact_fn(cfg)
 
     if kind == "pde":
         if cfg.f_expr is None:
@@ -143,6 +134,7 @@ def _solve_once(cfg: RunConfig, kind: str, mesh: Mesh):
         err = sol.final_l2_error(cfg.exact_expr) if cfg.exact_expr else None
         return sol, err, float(np.max(sol.solve_residuals))
 
+    exact = None if cfg.exact_expr is None else as_function(cfg.exact_expr)
     forcing = _build_forcing(cfg, pair, weight)
     if kind == "ode":
         prob = vie.NonlocalOdeProblem(pair, weight, forcing, c=cfg.c)
@@ -175,10 +167,8 @@ def cmd_solve(cfg: RunConfig, kind: str, out_dir: str) -> int:
     else:
         rep.write_solution_csv(os.path.join(out_dir, "solution.csv"))
         if rep.residuals is not None:
-            _write_rows(os.path.join(out_dir, "residuals.csv"),
-                        ["t", "residual"],
-                        [[f"{p:.17g}", f"{r:.17g}"]
-                         for p, r in zip(rep.residual_points, rep.residuals)])
+            write_csv(os.path.join(out_dir, "residuals.csv"), ["t", "residual"],
+                      zip(rep.residual_points, rep.residuals))
     _note(f"solve kind={kind} N={mesh.n} done; outputs in {out_dir}")
     summary = {"command": "solve", "status": "ok", "kind": kind,
                "jacobi_nodes": rep.meta["jacobi_nodes"]}
@@ -195,33 +185,25 @@ def cmd_solve(cfg: RunConfig, kind: str, out_dir: str) -> int:
 def cmd_converge(cfg: RunConfig, kind: str, doublings: int, out_dir: str) -> int:
     if cfg.exact_expr is None:
         raise ConfigError("converge needs an exact expression in [forcing]")
-    rows = []
-    errs = []
-    n = cfg.n
-    for level in range(doublings + 1):
-        mesh = cfg.make_mesh(n)
-        if kind == "pde":
-            # simultaneous space-time refinement
-            sub = RunConfig(**{**cfg.__dict__, "pde_m": cfg.pde_m * 2 ** level})
-            _, err, _ = _solve_once(sub, kind, mesh)
-        else:
-            _, err, _ = _solve_once(cfg, kind, mesh)
-        errs.append(err)
-        if level == 0:
-            order = ""
-        elif errs[-2] < 1e-13 or err < 1e-13:
-            order = "exact"
-        else:
-            order = f"{np.log2(errs[-2] / err):.6g}"
-        rows.append([n, f"{err:.17g}", order])
+
+    def solve(mesh):
+        # pde refines space and time together: m doubles with N
+        m = cfg.pde_m * mesh.n // cfg.n
+        return _solve_once(dataclasses.replace(cfg, pde_m=m), kind, mesh)
+
+    history, _ = vie.refinement_study(solve, cfg.make_mesh(), lambda out: out[1],
+                                      doublings)
+    errs = [err for _, err in history]
+    orders = ["" if o is None else o if isinstance(o, str) else f"{o:.6g}"
+              for o in vie.observed_orders(errs)]
+    rows = [[n, err, order] for (n, err), order in zip(history, orders)]
+    for n, err, order in rows:
         _note(f"converge kind={kind} N={n}: error {err:.6e}"
               + (f", order {order}" if order else ""))
-        n *= 2
-    _write_rows(os.path.join(out_dir, "convergence.csv"),
-                ["N", "error", "order"], rows)
-    last_order = rows[-1][2] if len(rows) > 1 else None
+    write_csv(os.path.join(out_dir, "convergence.csv"), ["N", "error", "order"],
+              rows)
     _emit({"command": "converge", "status": "ok", "kind": kind,
-           "error": errs[-1], "order": last_order})
+           "error": errs[-1], "order": orders[-1] if len(rows) > 1 else None})
     return EXIT_OK
 
 

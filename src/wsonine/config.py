@@ -7,17 +7,25 @@ ranges and builds the kernel pair, weight, and mesh objects on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError, ExprError, ValidationError
 from .expr import parse_expr
 from .kernels import (KERNEL_PRESETS, WEIGHT_PRESETS, KernelPair, Weight)
-from .quadrature import (DEFAULT_JACOBI_N, DEFAULT_PANEL_LEVELS,
-                         DEFAULT_PANEL_NODES, Mesh, default_grading)
+from .quadrature import DEFAULT_JACOBI_N, Mesh, default_grading
 
-_KNOWN_SECTIONS = ("kernel", "weight", "forcing", "mesh", "quadrature",
-                   "tolerances", "output", "pde")
+# the accepted keys of each section; any other section or key is an error
+_KEYS = {
+    "kernel": ("preset", "alpha", "b", "normalized"),
+    "weight": ("preset", "w"),
+    "forcing": ("f", "exact", "c", "manufactured"),
+    "mesh": ("n", "r", "uniform"),
+    "quadrature": ("jacobi_n",),
+    "tolerances": ("identity",),
+    "output": ("dir",),
+    "pde": ("m", "initial"),
+}
 
 
 def _split_comment(line: str) -> str:
@@ -45,7 +53,7 @@ def parse_sections(text: str) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
-            if name not in _KNOWN_SECTIONS:
+            if name not in _KEYS:
                 raise ConfigError(f"line {lineno}: unknown section [{name}]")
             current = sections.setdefault(name, {})
             continue
@@ -58,6 +66,9 @@ def parse_sections(text: str) -> dict:
         value = value.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        if key not in _KEYS[name]:
+            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{name}]; "
+                              f"known: {', '.join(_KEYS[name])}")
         if value.startswith('"') and value.endswith('"') and len(value) >= 2:
             value = value[1:-1]
         current[key] = value
@@ -115,15 +126,10 @@ class RunConfig:
     grading: Optional[float]     # None -> default_grading(alpha0)
     uniform: bool
     jacobi_n: int
-    panel_levels: int
-    panel_nodes: int
     identity_tol: float
-    solver_tol: float
     out_dir: str
-    formats: tuple
     pde_m: int
     initial_expr: str
-    raw: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -166,10 +172,6 @@ class RunConfig:
         tol = sec.get("tolerances", {})
         out = sec.get("output", {})
         pde = sec.get("pde", {})
-        formats = tuple(p.strip() for p in out.get("formats", "csv").split(",") if p.strip())
-        for fmt in formats:
-            if fmt != "csv":
-                raise ConfigError(f"unsupported output format {fmt!r}")
         initial_expr = pde.get("initial", "0")
         _check_expr(initial_expr, "pde initial")
 
@@ -187,15 +189,10 @@ class RunConfig:
             grading=None if grading is None else _get_float(mesh, "r", None, lo=1.0),
             uniform=_get_bool(mesh, "uniform", False),
             jacobi_n=_get_int(quad, "jacobi_n", DEFAULT_JACOBI_N, lo=1),
-            panel_levels=_get_int(quad, "levels", DEFAULT_PANEL_LEVELS, lo=1),
-            panel_nodes=_get_int(quad, "nodes", DEFAULT_PANEL_NODES, lo=1),
             identity_tol=_get_float(tol, "identity", 1e-8, lo=0.0),
-            solver_tol=_get_float(tol, "solver", 1e-2, lo=0.0),
             out_dir=out.get("dir", "."),
-            formats=formats,
             pde_m=_get_int(pde, "m", 32, lo=1),
-            initial_expr=initial_expr,
-            raw=sec)
+            initial_expr=initial_expr)
 
     @classmethod
     def from_path(cls, path) -> "RunConfig":

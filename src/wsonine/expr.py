@@ -14,7 +14,8 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import DomainError, ExprSyntaxError, UnknownIdentifierError
+from .errors import (DomainError, ExprSyntaxError, UnknownIdentifierError,
+                     ValidationError)
 
 VARIABLES = ("s", "t", "x")
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt")
@@ -73,12 +74,29 @@ def serialize(ast: ExprAst) -> str:
     return str(ast)
 
 
-def as_function(ast_or_fn, var="t"):
-    """Adapt an ExprAst (or an already-callable) to a one-argument callable."""
+def as_function(ast_or_fn, names=("t",)):
+    """Adapt an ExprAst or expression text to a callable of the variables
+    `names`, taken positionally in that order; a callable passes through.
+
+    The expression may use no other variable (ValidationError).  The result
+    has the shape of the first argument, so a constant expression or one
+    that ignores that argument is broadcast.
+    """
     if callable(ast_or_fn) and not isinstance(ast_or_fn, ExprAst):
         return ast_or_fn
     ast = parse_expr(ast_or_fn) if isinstance(ast_or_fn, str) else ast_or_fn
-    return lambda v: _eval(ast, {var: v})
+    extra = ast.variables() - set(names)
+    if extra:
+        raise ValidationError(f"unexpected variables {sorted(extra)} in '{ast}'")
+
+    def fn(*args):
+        val = _eval(ast, dict(zip(names, args)))
+        shape = np.shape(args[0])
+        if np.shape(val) == shape:
+            return val
+        return np.broadcast_to(np.asarray(val, dtype=float), shape).copy()
+
+    return fn
 
 
 # ---------------------------------------------------------------- tokenizer

@@ -11,11 +11,11 @@ Sonine identity makes its reformulation exact.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvfile import write_csv
 from .errors import DomainError, UnsupportedConfigurationError, ValidationError
 from .kernels import KernelPair, Weight
 from .quadrature import DEFAULT_JACOBI_N, JacobiRule, graded_panel_quad, jacobi_rule
@@ -37,7 +37,6 @@ class SonineData:
     pair: KernelPair
     weight: Weight
     rule: JacobiRule
-    g00: float
     diag_min: float          # min |g(t,0)| on the validation grid
     diag_max: float
 
@@ -47,8 +46,7 @@ class SonineData:
         rule = jacobi_rule(pair.alpha0, rule_n, SONINE_JACOBI_POWER)
         grid = np.linspace(0.0, pair.b, 256)
         diag = np.abs(np.broadcast_to(weight(grid, grid), grid.shape))
-        return cls(pair, weight, rule, float(weight(0.0, 0.0)),
-                   float(diag.min()), float(diag.max()))
+        return cls(pair, weight, rule, float(diag.min()), float(diag.max()))
 
     @property
     def b(self) -> float:
@@ -222,11 +220,8 @@ class VerificationReport:
                 f"(tol {self.tolerance:.1e}) -> {status}{extra}")
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["s", "t", "residual"])
-            for (s, t), r in zip(self.points, self.residuals):
-                out.writerow([f"{s:.17g}", f"{t:.17g}", f"{r:.17g}"])
+        write_csv(path, ["s", "t", "residual"],
+                  ([s, t, r] for (s, t), r in zip(self.points, self.residuals)))
 
 
 def _condition_grid(b):
@@ -328,8 +323,7 @@ def associate_from_wsc2(pair: KernelPair, weight: Weight, mesh,
     def rhs(t):
         return float(weight(0.0, t)) * pair.K(t)
 
-    problem = vie.SecondKindProblem(d=lambda t: G00, m=memory, r=rhs,
-                                    sigma_hat=0.0)
+    problem = vie.SecondKindProblem(d=lambda t: G00, m=memory, r=rhs)
     rep = vie.solve_second_kind(problem, mesh)
     cps = np.asarray([vie.snap_to_mesh(mesh, c * pair.b) for c in checkpoints])
     res = np.asarray([vie.conv_with_k(pair, mesh, rep.u, tc) - 1.0 for tc in cps])

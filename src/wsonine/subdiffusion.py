@@ -17,33 +17,22 @@ solve.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .csvfile import write_csv
 from .errors import NumericalError, ValidationError
-from .expr import ExprAst, parse_expr
+from .expr import ExprAst, as_function
 from .kernels import KernelPair, Weight, gamma
 from .quadrature import Mesh, lag_rule, power_conv_matrix
-from .sonine import SonineData, eval_g2, wsc1_report
+# wsc1_report stays bound here: the benchmark's span tracer patches it
+from .sonine import SonineData, eval_g2, wsc1_report  # noqa: F401
+from .vie import require_wsc1
 
 INSTABILITY_FACTOR = 1e3
-
-
-def _space_time_fn(expr) -> Callable:
-    """Normalize an expression in (x, t) or a callable to f(x_array, t)."""
-    if callable(expr) and not isinstance(expr, ExprAst):
-        return expr
-    ast = parse_expr(expr) if isinstance(expr, str) else expr
-    extra = ast.variables() - {"x", "t"}
-    if extra:
-        raise ValidationError(f"unexpected variables {sorted(extra)} in '{ast}'")
-    return lambda x, t: np.broadcast_to(
-        np.asarray(ast.eval({"x": np.asarray(x, float), "t": t}), float),
-        np.asarray(x, float).shape).copy()
 
 
 @dataclass
@@ -67,24 +56,10 @@ class PdeConfig:
                 "build the KernelPair with normalized=True")
         if self.mesh.b > self.pair.b * (1.0 + 1e-12):
             raise ValidationError("time mesh extends past the kernel horizon")
-        u0 = self.initial_fn()
+        u0 = as_function(self.initial, ("x",))
         for edge in (0.0, 1.0):
             if abs(float(u0(np.asarray([edge]))[0])) > 1e-12:
                 raise ValidationError(f"initial data must vanish at x = {edge}")
-
-    def initial_fn(self) -> Callable:
-        if callable(self.initial) and not isinstance(self.initial, ExprAst):
-            return self.initial
-        ast = parse_expr(self.initial) if isinstance(self.initial, str) else self.initial
-        extra = ast.variables() - {"x"}
-        if extra:
-            raise ValidationError(f"initial data may depend on x only, got {sorted(extra)}")
-        return lambda x: np.broadcast_to(
-            np.asarray(ast.eval({"x": np.asarray(x, float)}), float),
-            np.asarray(x, float).shape).copy()
-
-    def forcing_fn(self) -> Callable:
-        return _space_time_fn(self.forcing)
 
     @property
     def x(self) -> np.ndarray:
@@ -102,18 +77,15 @@ class PdeSolution:
 
     def final_l2_error(self, exact) -> float:
         """Relative discrete-L2 error at the final time."""
-        fn = _space_time_fn(exact)
+        fn = as_function(exact, ("x", "t"))
         ue = np.asarray(fn(self.x, float(self.t[-1])), float)
         scale = np.sqrt(np.mean(ue ** 2))
         return float(np.sqrt(np.mean((self.u[-1] - ue) ** 2)) / scale)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["x", "t", "u"])
-            for i, ti in enumerate(self.t):
-                for j, xj in enumerate(self.x):
-                    out.writerow([f"{xj:.17g}", f"{ti:.17g}", f"{self.u[i, j]:.17g}"])
+        write_csv(path, ["x", "t", "u"],
+                  ([xj, ti, uij] for ti, ui in zip(self.t, self.u)
+                   for xj, uij in zip(self.x, ui)))
 
 
 def l1_weights(alpha0: float, mesh: Mesh,
@@ -158,9 +130,7 @@ def solve_subdiffusion(config: PdeConfig,
     mesh, pair, weight = config.mesh, config.pair, config.weight
     if data is None:
         data = SonineData.make(pair, weight)
-    check = wsc1_report(data, grid=[(0.0, 0.3 * pair.b), (0.25 * pair.b, 0.3 * pair.b)])
-    if not check.passed:
-        raise ValidationError(f"WSC1 validation failed: {check.summary()}")
+    require_wsc1(data)
 
     t = mesh.points
     n = mesh.n
@@ -168,10 +138,10 @@ def solve_subdiffusion(config: PdeConfig,
     x = config.x
     m = config.m
     h = 1.0 / (m + 1)
-    f_fn = config.forcing_fn()
+    f_fn = as_function(config.forcing, ("x", "t"))
 
     u = np.zeros((n + 1, m))
-    u[0] = config.initial_fn()(x)
+    u[0] = as_function(config.initial, ("x",))(x)
     scale = max(1.0, float(np.max(np.abs(u[0]))))
 
     lw = l1_weights(pair.alpha0, mesh, pair.assoc_norm)

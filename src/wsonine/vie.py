@@ -13,12 +13,12 @@ convolution with f'), never by numerical differentiation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .csvfile import write_csv
 from .errors import DomainError, NumericalError, ValidationError
 from .expr import ExprAst, as_function, diff_expr, parse_expr
 from .kernels import KernelPair, Weight
@@ -139,12 +139,7 @@ class SecondKindProblem:
     d: Callable                      # diagonal coefficient d(t)
     m: Callable                      # memory kernel m(y, t), vectorized in y
     r: Union[Callable, np.ndarray]   # right-hand side, callable or per-node
-    sigma_hat: float = 0.0           # power blow-up of m as t-y -> 0
     u0: Optional[float] = None       # known value at t = 0, if any
-
-    def __post_init__(self):
-        if not 0.0 <= self.sigma_hat < 1.0:
-            raise ValidationError("sigma_hat must lie in [0, 1)")
 
     def rhs_at(self, i: int, t: float) -> float:
         if callable(self.r):
@@ -159,7 +154,6 @@ class SolveReport:
     u: np.ndarray
     residual_points: Optional[np.ndarray] = None
     residuals: Optional[np.ndarray] = None
-    refinement: list = field(default_factory=list)  # (N, error) pairs
     meta: dict = field(default_factory=dict)
 
     @property
@@ -169,29 +163,12 @@ class SolveReport:
         return float(np.max(np.abs(self.residuals)))
 
     def write_solution_csv(self, path):
-        res = dict(zip([], []))
+        res = {}
         if self.residual_points is not None:
             res = {float(p): float(r)
                    for p, r in zip(self.residual_points, self.residuals)}
-        with open(path, "w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["t", "u", "residual"])
-            for ti, ui in zip(self.t, self.u):
-                r = res.get(float(ti), "")
-                out.writerow([f"{ti:.17g}", f"{ui:.17g}",
-                              f"{r:.17g}" if r != "" else ""])
-
-    def write_refinement_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["N", "error", "order"])
-            prev = None
-            for n, err in self.refinement:
-                order = ""
-                if prev is not None and err > 0 and prev[1] > 0:
-                    order = f"{np.log2(prev[1] / err):.6g}"
-                out.writerow([n, f"{err:.17g}", order])
-                prev = (n, err)
+        write_csv(path, ["t", "u", "residual"],
+                  ([ti, ui, res.get(float(ti), "")] for ti, ui in zip(self.t, self.u)))
 
 
 # ------------------------------------------------------------------ engine
@@ -374,7 +351,9 @@ def _K_conv_fprime(pair: KernelPair, weight: Weight, forcing: Forcing,
 
 # ------------------------------------------------------------- transforms
 
-def _require_wsc1(data: SonineData):
+def require_wsc1(data: SonineData):
+    """The WSC1 gate every solver runs before it steps: raises ValidationError
+    when the weighted condition fails on a short sample grid."""
     rep = wsc1_report(data, grid=[(0.0, 0.3 * data.b), (0.25 * data.b, 0.3 * data.b)])
     if not rep.passed:
         raise ValidationError(f"WSC1 validation failed: {rep.summary()}")
@@ -386,7 +365,7 @@ def transform_first_kind_weighted(problem: FirstKindProblem, data: SonineData,
     = d/dt int K(t-s) f(s) ds."""
     if problem.variant != "weighted-k":
         raise ValidationError("expected the weighted-k variant")
-    _require_wsc1(data)
+    require_wsc1(data)
     pair, weight, forcing = problem.pair, problem.weight, problem.forcing
 
     conv = _K_conv_fprime(pair, weight, forcing, mesh)
@@ -402,7 +381,6 @@ def transform_first_kind_weighted(problem: FirstKindProblem, data: SonineData,
         d=lambda tt: float(weight(tt, tt)),
         m=lambda y, tt: eval_g2(data, y, tt - y),
         r=r,
-        sigma_hat=0.0,
         u0=None)
 
 
@@ -412,7 +390,7 @@ def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
     = d/dt int w(0,s)k(s)f(t-s) ds."""
     if problem.variant != "K-kernel":
         raise ValidationError("expected the K-kernel variant")
-    _require_wsc1(data)
+    require_wsc1(data)
     pair, weight, forcing = problem.pair, problem.weight, problem.forcing
     t = mesh.points
     n = mesh.n
@@ -442,7 +420,6 @@ def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
         d=lambda tt: g00,
         m=lambda y, tt: eval_g2(data, 0.0, tt - y),
         r=r,
-        sigma_hat=0.0,
         u0=None)
 
 
@@ -471,7 +448,7 @@ def _solve_first_kind_g(problem: FirstKindProblem, mesh: Mesh,
                         data: SonineData) -> SolveReport:
     """Midpoint product rule on the integrated (pre-differentiation) form:
     int_0^t g(., t-s) u(s) ds = int_0^t K(t-s) f(s) ds."""
-    _require_wsc1(data)
+    require_wsc1(data)
     pair, weight, forcing = problem.pair, problem.weight, problem.forcing
     t = mesh.points
     n = mesh.n
@@ -515,14 +492,13 @@ def solve_nonlocal_ode(problem: NonlocalOdeProblem, mesh: Mesh,
             "a graded mesh (r > 1) is required")
     if data is None:
         data = SonineData.make(problem.pair, problem.weight)
-    _require_wsc1(data)
+    require_wsc1(data)
     pair, weight = problem.pair, problem.weight
     r = rhs_K_conv(pair, problem.forcing, problem.c, mesh)
     skp = SecondKindProblem(
         d=lambda tt: float(weight(tt, tt)),
         m=lambda y, tt: eval_g2(data, y, tt - y),
         r=r,
-        sigma_hat=0.0,
         u0=None)
     rep = solve_second_kind(skp, mesh)
     rep.meta["strategy"] = "nonlocal-ode"
@@ -583,19 +559,28 @@ def construct_csc_associate(data: SonineData, mesh: Mesh,
 
 # ------------------------------------------------------------- refinement
 
+EXACT_ERROR = 1e-13   # errors below this are rounding: no order is observed
+
+
+def observed_orders(errors) -> list:
+    """Observed order log2(e_{k-1} / e_k) of each mesh halving, None for the
+    first level; "exact" where either error is below EXACT_ERROR."""
+    orders = [None]
+    for coarse, fine in zip(errors[:-1], errors[1:]):
+        if coarse < EXACT_ERROR or fine < EXACT_ERROR:
+            orders.append("exact")
+        else:
+            orders.append(float(np.log2(coarse / fine)))
+    return orders
+
+
 def refinement_study(make_report, base_mesh: Mesh, error_fn, doublings: int):
-    """Run make_report(mesh) on successively doubled meshes; returns a list
-    of (N, error) and the least-squares observed order."""
+    """Run make_report(mesh) on base_mesh and `doublings` successive
+    doublings of it; returns the (N, error) history and the observed order
+    of the last halving (None without doublings), as observed_orders gives."""
     history = []
     mesh = base_mesh
     for _ in range(doublings + 1):
-        rep = make_report(mesh)
-        history.append((mesh.n, error_fn(rep)))
+        history.append((mesh.n, error_fn(make_report(mesh))))
         mesh = mesh.refined()
-    errs = np.asarray([e for _, e in history])
-    ns = np.asarray([n for n, _ in history], dtype=float)
-    if np.all(errs > 0):
-        order = -np.polyfit(np.log2(ns), np.log2(errs), 1)[0]
-    else:
-        order = float("inf")
-    return history, float(order)
+    return history, observed_orders([e for _, e in history])[-1]

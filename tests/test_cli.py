@@ -93,7 +93,6 @@ class TestConfigParsing:
         assert cfg.b == 1.0 and not cfg.normalized
         assert cfg.n == 128 and cfg.grading is None
         assert cfg.identity_tol == 1e-8
-        assert cfg.formats == ("csv",)
         assert cfg.make_mesh(8).n == 8
 
     def test_kernel_preset(self):
@@ -112,6 +111,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="preset.*alpha|alpha.*preset"):
             RunConfig.from_text('[weight]\nw = "1"\n')
 
+    @pytest.mark.parametrize("section, key", [("mesh", "grading = 9"),
+                                              ("quadrature", "levels = 1")])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, section, key):
+        code, _ = run_cli(tmp_path, VERIFY_GOOD + f"\n[{section}]\n{key}\n",
+                          "verify")
+        summary, _ = last_json(capsys)
+        assert code == 2
+        assert summary["status"] == "config-error"
+        assert "unknown key" in summary["error"]
+
 
 class TestVerify:
     def test_good_config_passes(self, tmp_path, capsys):
@@ -120,9 +129,20 @@ class TestVerify:
         assert code == 0
         assert summary["status"] == "pass"
         assert summary["max_residual"] <= 1e-8
+        assert summary["checks"] == {"csc": "pass", "wsc1": "pass",
+                                     "wsc2": "pass", "licm": "pass"}
         for name in ("csc.csv", "wsc1.csv", "wsc2.csv"):
             assert (out / name).exists()
         assert "CSC residual" in err
+
+    def test_variable_exponent_checks_skipped(self, tmp_path, capsys):
+        cfg = VERIFY_GOOD.replace('"0.5"', '"0.5 + 0.2*t"')
+        code, out = run_cli(tmp_path, cfg, "verify")
+        summary, _ = last_json(capsys)
+        assert code == 0
+        assert summary["checks"] == {"csc": "skipped", "wsc1": "pass",
+                                     "wsc2": "skipped", "licm": "pass"}
+        assert not (out / "csc.csv").exists() and not (out / "wsc2.csv").exists()
 
     def test_alpha_near_one_passes(self, tmp_path, capsys):
         cfg = VERIFY_GOOD.replace('"0.5"', '"0.8"')
@@ -138,6 +158,7 @@ class TestVerify:
         assert code == 3
         assert summary["status"] == "fail"
         assert any("(i)" in f for f in summary["failures"])
+        assert summary["checks"]["wsc1"] == "fail"
 
     def test_syntax_error_exits_2(self, tmp_path, capsys):
         cfg = VERIFY_GOOD.replace('"1 + s*t"', '"1 + s*"')

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsonine.errors import (DomainError, ExprSyntaxError,
-                            UnknownIdentifierError)
+                            UnknownIdentifierError, ValidationError)
 from wsonine.expr import (ExprAst, as_function, diff_expr, eval_expr,
                           parse_expr, serialize)
 
@@ -123,3 +123,11 @@ class TestAsFunction:
     def test_passthrough_callable(self):
         f = as_function(lambda t: t + 1)
         assert f(1.0) == 2.0
+
+    def test_named_variables_broadcast_and_checked(self):
+        x = np.array([0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(as_function("x*t", ("x", "t"))(x, 2.0), 2.0 * x)
+        np.testing.assert_array_equal(as_function("t", ("x", "t"))(x, 3.0), [3.0] * 3)
+        np.testing.assert_array_equal(as_function("0", ("x",))(x), np.zeros(3))
+        with pytest.raises(ValidationError, match="unexpected variables"):
+            as_function("x + s", ("x", "t"))

@@ -3,6 +3,8 @@
 ``perfbench/run.py --trace 1`` fail, so the tracer is exercised here."""
 
 import importlib.util
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -55,3 +57,24 @@ def test_tracer_installs_runs_and_uninstalls():
                  "subdiffusion.banded"):
         assert totals[name][0] > 0, name
     assert np.all(np.isfinite(rep.u))
+
+
+WORKLOADS = SPANS.parent / "workloads.py"
+
+
+def test_benchmark_workloads_run_one_small_rung():
+    # the benchmark drives the library through RunConfig, PdeConfig,
+    # final_l2_error and expr.as_function; one N = 8 rung per workload
+    # keeps that surface working
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads   # @dataclass looks the module up there
+    try:
+        spec.loader.exec_module(workloads)
+        for wl in workloads.WORKLOADS.values():
+            st = workloads.setup(workloads.config_text(wl, 1), wl.kind)
+            rung = workloads.solve_rung(st, wl.kind, 8, math.inf)
+            assert rung.ok, (wl.name, rung.message)
+            assert np.isfinite(rung.error) and np.isfinite(rung.residual), wl.name
+    finally:
+        del sys.modules[spec.name]

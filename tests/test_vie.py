@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsonine.errors import DomainError, NumericalError, ValidationError
 from wsonine.kernels import KernelPair, Weight
@@ -10,8 +12,9 @@ from wsonine.sonine import SonineData
 from wsonine.vie import (FirstKindProblem, Forcing, NonlocalOdeProblem,
                          SecondKindProblem, construct_csc_associate,
                          manufactured_forcing, max_node_error, node_index,
-                         refinement_study, residual_first_kind, rhs_K_conv,
-                         snap_to_mesh, solve_first_kind, solve_nonlocal_ode,
+                         observed_orders, refinement_study,
+                         residual_first_kind, rhs_K_conv, snap_to_mesh,
+                         solve_first_kind, solve_nonlocal_ode,
                          solve_second_kind, transform_first_kind_weighted,
                          weighted_l1_error)
 
@@ -118,8 +121,7 @@ class TestSecondKindEngine:
         # u + int (t-y)^(-1/2) u(y) dy = 1 + 2 sqrt(t) has solution u = 1
         prob = SecondKindProblem(d=lambda t: 1.0,
                                  m=lambda y, t: (t - np.asarray(y)) ** -0.5,
-                                 r=lambda t: 1.0 + 2.0 * math.sqrt(t) if t > 0 else 1.0,
-                                 sigma_hat=0.5)
+                                 r=lambda t: 1.0 + 2.0 * math.sqrt(t) if t > 0 else 1.0)
         mesh = Mesh(1.0, 256, 4.0)
         rep = solve_second_kind(prob, mesh)
         assert max_node_error(mesh, rep.u, lambda t: np.ones_like(t)) <= 1e-4
@@ -142,11 +144,25 @@ class TestSecondKindEngine:
         with pytest.raises(NumericalError):
             solve_second_kind(prob, Mesh(1.0, 8))
 
-    def test_sigma_hat_validated(self):
-        with pytest.raises(ValidationError):
-            SecondKindProblem(d=lambda t: 1.0,
-                              m=lambda y, t: 0.0,
-                              r=lambda t: 1.0, sigma_hat=1.0)
+    @given(n=st.integers(2, 48), grading=st.floats(1.0, 4.0),
+           a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_linear_in_rhs(self, n, grading, a, b):
+        # d u + int (t-y)^(-1/2) (1 + y t) u(y) dy = r: u depends linearly on r
+        mesh = Mesh(1.0, n, grading)
+        t = mesh.points
+
+        def solve(r):
+            prob = SecondKindProblem(
+                d=lambda tt: 1.0 + tt,
+                m=lambda y, tt: (tt - np.asarray(y)) ** -0.5 * (1.0 + np.asarray(y) * tt),
+                r=r)
+            return solve_second_kind(prob, mesh).u
+
+        r1, r2 = 1.0 + np.sin(3.0 * t), np.sqrt(t)
+        u1, u2 = solve(r1), solve(r2)
+        np.testing.assert_allclose(solve(a * r1 + b * r2), a * u1 + b * u2,
+                                   rtol=1e-12, atol=1e-12 * (abs(a) + abs(b)))
 
 
 class TestMeshHelpers:
@@ -301,18 +317,10 @@ class TestReportsAndRefinement:
         assert lines[0] == "t,u,residual"
         assert len(lines) == 6
 
-    def test_refinement_csv(self, tmp_path):
-        mesh = Mesh(1.0, 4)
-        rep = solve_second_kind(
-            SecondKindProblem(d=lambda t: 1.0,
-                              m=lambda y, t: np.zeros_like(np.asarray(y)),
-                              r=lambda t: t), mesh)
-        rep.refinement = [(4, 1e-2), (8, 2.5e-3)]
-        path = tmp_path / "refinement.csv"
-        rep.write_refinement_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "N,error,order"
-        assert lines[2].endswith(",2")
+    def test_observed_orders(self):
+        assert observed_orders([1e-2, 2.5e-3]) == [None, 2.0]
+        assert observed_orders([1e-2]) == [None]
+        assert observed_orders([1e-2, 1e-14, 1e-15]) == [None, "exact", "exact"]
 
     def test_refinement_study_order(self):
         class Fake:
