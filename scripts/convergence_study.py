@@ -35,7 +35,7 @@ def main(argv=None):
     print(f"alpha = {args.alpha!r}, w = {args.weight!r}, u = {args.exact!r}")
     start = time.perf_counter()
     history, _ = refinement_study(
-        lambda mesh: solve_first_kind(problem, mesh, "second-kind", data),
+        lambda mesh: solve_first_kind(problem, mesh, data),
         Mesh(pair.b, args.n, args.grading),
         lambda rep: max_node_error(rep.mesh, rep.u, exact), args.doublings)
     orders = observed_orders([err for _, err in history])

@@ -171,13 +171,12 @@ class KernelPair:
 
 @dataclass(frozen=True)
 class Weight:
-    """w(s,t) with its partial derivatives and sampled condition-(i) bounds."""
+    """w(s,t) with its partial derivatives and the sampled condition-(i) bound."""
 
     w: ExprAst
     w2: ExprAst          # dw/dt
     w1: ExprAst          # dw/ds, needed by manufactured-forcing oracles
     mu_lower: float
-    mu_upper: float
     b: float
 
     @classmethod
@@ -190,7 +189,7 @@ class Weight:
         w1 = diff_expr(ast, "s")
         grid = np.linspace(0.0, b, VALIDATION_GRID_SIZE)
         diag = np.abs(np.broadcast_to(ast.eval({"s": grid, "t": grid}), grid.shape))
-        return cls(ast, w2, w1, float(np.min(diag)), float(np.max(diag)), b)
+        return cls(ast, w2, w1, float(np.min(diag)), b)
 
     @property
     def condition_i_ok(self) -> bool:

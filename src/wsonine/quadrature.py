@@ -1,6 +1,6 @@
 """Singular-integral machinery.
 
-Three tools, all serving integrals whose singular factor is known a priori:
+Four tools, all serving integrals whose singular factor is known a priori:
 
 * Gauss-Jacobi rules for integrals against (1-z)^(a0-1) z^(-a0) on (0,1),
   built by Golub-Welsch from the three-term recurrence, optionally after
@@ -8,7 +8,9 @@ Three tools, all serving integrals whose singular factor is known a priori:
 * closed-form product-integration weights for convolving a piecewise-linear
   interpolant with a pure power |t* - s|^(-beta);
 * composite Gauss-Legendre on geometrically graded panels for integrands
-  with a log or power (< 1) singularity at one end.
+  with a log or power (< 1) singularity at one end;
+* the steppers' memory quadrature, hat-function weights per panel built
+  from the last two.
 """
 
 from __future__ import annotations
@@ -255,6 +257,38 @@ def lag_rule(tau: float):
 @lru_cache(maxsize=1)
 def _unit_lag_rule():
     return graded_nodes(0.0, 1.0, "left", MEMORY_PANEL_LEVELS, MEMORY_PANEL_NODES)
+
+
+def memory_panel_weights(m, t: np.ndarray, i: int):
+    """Row i of the steppers' memory quadrature: arrays m0, m1 of length i
+    with
+
+        int_0^{t_i} m(y, t_i - y) uhat(y) dy = m0 @ u[:i] + m1 @ u[1:i+1]
+
+    for the piecewise-linear interpolant uhat of the nodal values u, i.e. the
+    weights of the two hat functions on each panel.  Interior panels use
+    2-point Gauss; the newest panel, where m may be singular at zero lag,
+    uses lag_rule in x = t_i - y, so the lag m receives there is exact.
+    m(y, x) is called once, on arrays of nodes y and their lags x.
+    """
+    ti = t[i]
+    gx, gw = _leggauss(2)
+    lo, hi = t[: i - 1], t[1:i]
+    half = 0.5 * (hi - lo)
+    ys = 0.5 * (hi + lo)[:, None] + half[:, None] * gx[None, :]
+    xs, xw = lag_rule(ti - t[i - 1])
+    vals = np.asarray(m(np.concatenate((ys.ravel(), ti - xs)),
+                        np.concatenate(((ti - ys).ravel(), xs))), dtype=float)
+    newest = vals[ys.size:]
+    if not np.all(np.isfinite(newest)):
+        raise NumericalError(f"non-finite memory kernel near t = {ti}")
+    interior = vals[: ys.size].reshape(ys.shape) * (half[:, None] * gw[None, :])
+    frac = (ys - lo[:, None]) / (hi - lo)[:, None]
+    newest = xw * newest
+    frac_last = xs / (ti - t[i - 1])   # u_{i-1} sits at lag x = tau
+    m0 = np.append(np.sum(interior * (1.0 - frac), axis=1), np.dot(newest, frac_last))
+    m1 = np.append(np.sum(interior * frac, axis=1), np.dot(newest, 1.0 - frac_last))
+    return m0, m1
 
 
 def graded_panel_quad(fn, a: float, b: float, singular_end: str = "left",

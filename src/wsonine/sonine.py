@@ -38,7 +38,6 @@ class SonineData:
     weight: Weight
     rule: JacobiRule
     diag_min: float          # min |g(t,0)| on the validation grid
-    diag_max: float
 
     @classmethod
     def make(cls, pair: KernelPair, weight: Weight,
@@ -46,7 +45,7 @@ class SonineData:
         rule = jacobi_rule(pair.alpha0, rule_n, SONINE_JACOBI_POWER)
         grid = np.linspace(0.0, pair.b, 256)
         diag = np.abs(np.broadcast_to(weight(grid, grid), grid.shape))
-        return cls(pair, weight, rule, float(diag.min()), float(diag.max()))
+        return cls(pair, weight, rule, float(diag.min()))
 
     @property
     def b(self) -> float:
@@ -150,20 +149,25 @@ def _require_constant(pair, what):
             "condition with order swapped is unproven for variable exponents")
 
 
-def eval_G(pair: KernelPair, weight: Weight, s, t,
-           rule_n: int = DEFAULT_JACOBI_N):
-    """G(s,t) = w(s,s) + int_0^t (w(s,t-z+s) - w(s,s)) k(z) K(t-z) dz,
-    with the singular product absorbed by the Jacobi rule."""
-    _require_constant(pair, "eval_G")
-    scalar = np.ndim(s) == 0 and np.ndim(t) == 0
+def _swapped_args(pair: KernelPair, s, t, what: str):
+    """Broadcast (s, t) for G and dG/dt after the exponent and domain checks."""
+    _require_constant(pair, what)
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(s < 0.0) or np.any(t < 0.0) or np.any(s + t > pair.b * (1.0 + 1e-12)):
         raise DomainError("need s >= 0, t >= 0, s + t <= b")
-    s, t = np.broadcast_arrays(s, t)
+    return np.broadcast_arrays(s, t)
+
+
+def eval_G(pair: KernelPair, weight: Weight, s, t,
+           rule_n: int = DEFAULT_JACOBI_N):
+    """G(s,t) = w(s,s) + int_0^t (w(s,t-z+s) - w(s,s)) k(z) K(t-z) dz,
+    with the singular product absorbed by the Jacobi rule."""
+    scalar = np.ndim(s) == 0 and np.ndim(t) == 0
+    s, t = _swapped_args(pair, s, t, "eval_G")
     rule = jacobi_rule(pair.alpha0, rule_n)
     wss = np.asarray(weight(s, s))
-    acc = np.zeros(np.broadcast_shapes(s.shape, t.shape))
+    acc = np.zeros(s.shape)
     for zj, wj in zip(rule.nodes, rule.weights):
         acc += wj * (np.asarray(weight(s, t - t * zj + s)) - wss)
     out = wss + acc / pair.kappa
@@ -171,15 +175,18 @@ def eval_G(pair: KernelPair, weight: Weight, s, t,
     return float(out) if scalar else out
 
 
-def G2_fd(pair: KernelPair, weight: Weight, s, t, rel_step: float = 1e-5):
-    """dG/dt by central differences (shifted to stay within the horizon);
-    G is smooth in t away from 0."""
-    t = np.asarray(t, dtype=float)
-    h = np.minimum(rel_step * np.maximum(t, 0.01), 0.5 * np.maximum(t, 1e-30))
-    shift = np.maximum(np.asarray(s, dtype=float) + t + h - pair.b, 0.0)
-    hi = eval_G(pair, weight, s, t + h - shift)
-    lo = eval_G(pair, weight, s, t - h - shift)
-    return (hi - lo) / (2.0 * h)
+def eval_G2(pair: KernelPair, weight: Weight, s, t,
+            rule_n: int = DEFAULT_JACOBI_N):
+    """dG/dt = (1/kappa) int_0^1 (1-z) w_t(s, t(1-z)+s) (1-z)^(a0-1) z^(-a0) dz,
+    eval_G's integral differentiated under the integral sign, on its rule."""
+    scalar = np.ndim(s) == 0 and np.ndim(t) == 0
+    s, t = _swapped_args(pair, s, t, "eval_G2")
+    rule = jacobi_rule(pair.alpha0, rule_n)
+    acc = np.zeros(s.shape)
+    for zj, wj in zip(rule.nodes, rule.weights):
+        acc += wj * (1.0 - zj) * np.asarray(weight.dt(s, t - t * zj + s))
+    out = acc / pair.kappa
+    return float(out) if scalar else out
 
 
 def G_reference(pair: KernelPair, weight: Weight, s: float, t: float,
@@ -211,7 +218,6 @@ class VerificationReport:
     tolerance: float = IDENTITY_TOL
     passed: bool = True
     failures: list = field(default_factory=list)  # named conditions, e.g. "(i)/(a)"
-    details: dict = field(default_factory=dict)   # sampled bounds etc.
 
     def summary(self) -> str:
         status = "pass" if self.passed else "fail"
@@ -235,10 +241,6 @@ def wsc1_report(data: SonineData, grid=None,
     """Conditions (i)/(a), identity residual vs the raw convolution, and
     integrability evidence for g2 (condition (b))."""
     rep = VerificationReport("WSC1", tolerance=tolerance)
-    rep.details["mu_lower"] = data.weight.mu_lower
-    rep.details["mu_upper"] = data.weight.mu_upper
-    rep.details["g_diag_min"] = data.diag_min
-    rep.details["g_diag_max"] = data.diag_max
     if not data.weight.condition_i_ok or data.diag_min <= 1e-12:
         rep.passed = False
         rep.failures.append("(i)/(a)")
@@ -263,7 +265,6 @@ def wsc1_report(data: SonineData, grid=None,
         val = graded_panel_quad(lambda t: np.abs(eval_g2(data, s, t)),
                                 0.0, data.b - s, "left", levels=40)
         g2_l1.append(val)
-    rep.details["g2_l1_samples"] = g2_l1
     if not all(np.isfinite(g2_l1)):
         rep.passed = False
         rep.failures.append("(b)")
@@ -275,7 +276,6 @@ def wsc2_report(pair: KernelPair, weight: Weight, grid=None,
     """Same checks for the order-swapped condition (constant exponent only)."""
     _require_constant(pair, "wsc2_report")
     rep = VerificationReport("WSC2", tolerance=tolerance)
-    rep.details["mu_lower"] = weight.mu_lower
     if not weight.condition_i_ok:
         rep.passed = False
         rep.failures.append("(i)/(a)")
@@ -294,10 +294,9 @@ def wsc2_report(pair: KernelPair, weight: Weight, grid=None,
     g2_l1 = []
     for s in (0.0, 0.25 * pair.b, 0.5 * pair.b):
         val = graded_panel_quad(
-            lambda t: np.abs(G2_fd(pair, weight, s, t)),
+            lambda t: np.abs(eval_G2(pair, weight, s, t)),
             0.0, pair.b - s, "left", levels=30)
         g2_l1.append(val)
-    rep.details["G2_l1_samples"] = g2_l1
     if not all(np.isfinite(g2_l1)):
         rep.passed = False
         rep.failures.append("(b)")
@@ -318,7 +317,7 @@ def associate_from_wsc2(pair: KernelPair, weight: Weight, mesh,
         raise ValidationError("G(0,0) = w(0,0) vanishes; condition (a) fails")
 
     def memory(y, t):
-        return G2_fd(pair, weight, 0.0, t - y)
+        return eval_G2(pair, weight, 0.0, t - y)
 
     def rhs(t):
         return float(weight(0.0, t)) * pair.K(t)

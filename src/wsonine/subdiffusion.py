@@ -27,7 +27,7 @@ from .csvfile import write_csv
 from .errors import NumericalError, ValidationError
 from .expr import ExprAst, as_function
 from .kernels import KernelPair, Weight, gamma
-from .quadrature import Mesh, lag_rule, power_conv_matrix
+from .quadrature import Mesh, memory_panel_weights, power_conv_matrix
 # wsc1_report stays bound here: the benchmark's span tracer patches it
 from .sonine import SonineData, eval_g2, wsc1_report  # noqa: F401
 from .vie import require_wsc1
@@ -105,26 +105,6 @@ def l1_weights(alpha0: float, mesh: Mesh,
     return w
 
 
-def _memory_panel_integrals(data: SonineData, mesh: Mesh, i: int,
-                            gl=np.polynomial.legendre.leggauss(2)) -> np.ndarray:
-    """B_j = int over panel j of g2(s, t_i - s) ds for j = 1..i; the newest
-    panel is integrated in the lag variable where g2's second argument is
-    singular-prone."""
-    t = mesh.points
-    ti = t[i]
-    out = np.empty(i)
-    if i > 1:
-        lo, hi = t[: i - 1], t[1:i]
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        ss = mid[:, None] + half[:, None] * gl[0][None, :]
-        vals = eval_g2(data, ss.ravel(), (ti - ss).ravel()).reshape(ss.shape)
-        out[: i - 1] = np.sum(half[:, None] * gl[1][None, :] * vals, axis=1)
-    xs, xw = lag_rule(ti - t[i - 1])
-    out[i - 1] = np.dot(xw, eval_g2(data, ti - xs, xs))
-    return out
-
-
 def solve_subdiffusion(config: PdeConfig,
                        data: Optional[SonineData] = None) -> PdeSolution:
     mesh, pair, weight = config.mesh, config.pair, config.weight
@@ -145,7 +125,8 @@ def solve_subdiffusion(config: PdeConfig,
     scale = max(1.0, float(np.max(np.abs(u[0]))))
 
     lw = l1_weights(pair.alpha0, mesh, pair.assoc_norm)
-    fvals = np.asarray([f_fn(x, float(ti)) for ti in t])
+    # the forcing history does not depend on u: one product for every step
+    fhist = lw @ np.asarray([f_fn(x, float(ti)) for ti in t])
     gdiag = np.asarray([float(weight(ti, ti)) for ti in t])
     if np.any(np.abs(gdiag) < 1e-12):
         raise NumericalError("g(t,0) = w(t,t) vanishes on the mesh")
@@ -156,18 +137,19 @@ def solve_subdiffusion(config: PdeConfig,
         out[1:] += v[:-1]
         return out / h ** 2
 
-    laps = np.zeros_like(u)
-    laps[0] = lap(u[0])
     solve_res = np.zeros(n + 1)
 
     for i in range(1, n + 1):
         gi = gdiag[i]
-        b_panels = _memory_panel_integrals(data, mesh, i)
-        # memory term -sum_{j<i-1} B_j (u_{j+1} - u_j)/tau_j + B_{i-1} u_{i-1}/tau_{i-1}
+        m0, m1 = memory_panel_weights(lambda y, lag: eval_g2(data, y, lag), t, i)
+        # B_j = int over panel j of g2(s, t_i - s) ds.  The memory term
+        # -sum_{j<i-1} B_j (u_{j+1} - u_j)/tau_j + B_{i-1} u_{i-1}/tau_{i-1}
         # regrouped by u_j: the coefficients are differences of B_j / tau_j
+        b_panels = m0 + m1
         c = np.diff(b_panels / tau[:i], prepend=0.0)
+        # sum_j lw_ij lap(u_j) = lap(sum_j lw_ij u_j): the Laplacian is linear
         rhs = u[i - 1] / tau[i - 1] + (
-            c @ u[:i] + lw[i, :i] @ laps[:i] + lw[i, : i + 1] @ fvals[: i + 1]) / gi
+            c @ u[:i] + lap(lw[i, :i] @ u[:i]) + fhist[i]) / gi
 
         shift = 1.0 / tau[i - 1] + b_panels[i - 1] / (gi * tau[i - 1])
         coef = lw[i, i] / gi
@@ -186,7 +168,6 @@ def solve_subdiffusion(config: PdeConfig,
                 f"instability detected at step {i} (t = {t[i]}): "
                 f"|u| = {np.max(np.abs(ui)):.3e} exceeds {INSTABILITY_FACTOR:g} x scale")
         u[i] = ui
-        laps[i] = lap(ui)
         resid = (shift * ui - coef * lap(ui)) - rhs
         solve_res[i] = float(np.max(np.abs(resid)))
 

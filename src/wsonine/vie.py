@@ -22,9 +22,9 @@ from .csvfile import write_csv
 from .errors import DomainError, NumericalError, ValidationError
 from .expr import ExprAst, as_function, diff_expr, parse_expr
 from .kernels import KernelPair, Weight
-from .quadrature import (Mesh, graded_panel_quad, lag_rule, power_conv_matrix,
-                         power_conv_weights)
-from .sonine import SonineData, eval_g, eval_g2, wsc1_report
+from .quadrature import (Mesh, graded_panel_quad, memory_panel_weights,
+                         power_conv_matrix, power_conv_weights)
+from .sonine import SonineData, eval_g2, wsc1_report
 
 
 # ------------------------------------------------------------------ types
@@ -175,9 +175,10 @@ class SolveReport:
 
 def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
                       d_min: float = 1e-12) -> SolveReport:
-    """Time-stepping product integration: piecewise-linear solution, 2-point
-    Gauss on interior memory panels, graded quadrature (in the lag variable)
-    on the panel touching the singularity of m at y = t."""
+    """Time-stepping product integration: piecewise-linear solution, memory
+    term by quadrature.memory_panel_weights (2-point Gauss on interior panels,
+    graded quadrature in the lag variable on the panel touching the
+    singularity of m at y = t)."""
     t = mesh.points
     n = mesh.n
     u = np.zeros(n + 1)
@@ -193,35 +194,17 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
     if u0 is not None:
         u[0] = u0
 
-    gl_x, gl_w = np.polynomial.legendre.leggauss(2)
-
     for i in range(1, n + 1):
         ti = t[i]
-        tau_i = t[i] - t[i - 1]
         di = float(problem.d(ti))
         if abs(di) < d_min:
             raise NumericalError(f"diagonal coefficient below {d_min} at t = {ti}")
         ri = problem.rhs_at(i, ti)
-
-        # interior panels j = 1..i-1, 2-point Gauss on the linear interpolant
-        interior = 0.0
-        if i > 1:
-            lo, hi = t[:i - 1], t[1:i]
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            ys = (mid[:, None] + half[:, None] * gl_x[None, :])
-            frac = (ys - lo[:, None]) / (hi - lo)[:, None]
-            uhat = u[:i - 1, None] * (1.0 - frac) + u[1:i, None] * frac
-            mvals = np.asarray(problem.m(ys.ravel(), ti)).reshape(ys.shape)
-            interior = float(np.sum(half[:, None] * gl_w[None, :] * mvals * uhat))
-
-        # last panel in the lag variable x = t_i - y, singular end at x = 0
-        xs, xw = lag_rule(tau_i)
-        mlast = np.asarray(problem.m(ti - xs, ti))
-        if not np.all(np.isfinite(mlast)):
-            raise NumericalError(f"non-finite memory kernel near t = {ti}")
-        m0 = float(np.dot(xw, mlast * (xs / tau_i)))          # multiplies u_{i-1}
-        m1 = float(np.dot(xw, mlast * (1.0 - xs / tau_i)))    # multiplies u_i
+        w0, w1 = memory_panel_weights(lambda y, x: problem.m(y, ti), t, i)
+        # every panel but the newest acts on known values; on the newest,
+        # m0 multiplies u_{i-1} and m1 the unknown u_i
+        interior = float(w0[:-1] @ u[: i - 1] + w1[:-1] @ u[1:i])
+        m0, m1 = w0[-1], w1[-1]
 
         if i == 1 and u0 is None:
             # constant extension over the first panel
@@ -398,7 +381,6 @@ def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
     # psi(s) = w(0,s) * smooth part of k, so the integrand is s^(-a0) psi f'
     psi_fn = lambda s: np.asarray(weight(np.zeros_like(np.asarray(s, float)), s)) \
         * np.asarray(pair.k_smooth_part(s))
-    psi = psi_fn(t)
     r = np.empty(n + 1)
     exact_zero = forcing.f0 == 0.0 and not forcing.prime_singular_at_zero
     r[0] = 0.0 if exact_zero else np.inf
@@ -409,10 +391,13 @@ def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
             r[i] = _split_singular_conv(
                 lambda s: s ** (-pair.alpha0) * psi_fn(s), forcing.f_prime, t[i])
     else:
-        w = power_conv_matrix(pair.alpha0, mesh, "left")
+        # s -> t_i - s puts the power at the right end and f' on the graded
+        # mesh itself, where any weak singularity of f' at zero is resolved;
+        # psi is smooth, so evaluating it at the lags costs no accuracy
+        w = power_conv_matrix(pair.alpha0, mesh, "right")
+        fp = _values(forcing.f_prime, t)
         for i in range(1, n + 1):
-            fp = _values(forcing.f_prime, t[i] - t[: i + 1])
-            r[i] = w[i, : i + 1] @ (psi[: i + 1] * fp)
+            r[i] = w[i, : i + 1] @ (psi_fn(t[i] - t[: i + 1]) * fp[: i + 1])
     r[1:] += forcing.f0 * weight(0.0, t[1:]) * pair.k(t[1:])
 
     g00 = float(weight(0.0, 0.0))
@@ -426,61 +411,14 @@ def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
 # --------------------------------------------------------------- solvers
 
 def solve_first_kind(problem: FirstKindProblem, mesh: Mesh,
-                     strategy: str = "second-kind",
                      data: Optional[SonineData] = None) -> SolveReport:
+    """Solve the first-kind equation through its second-kind form."""
     if data is None:
         data = SonineData.make(problem.pair, problem.weight)
-    if strategy == "second-kind":
-        transform = (transform_first_kind_weighted
-                     if problem.variant == "weighted-k" else transform_first_kind_K)
-        skp = transform(problem, data, mesh)
-        rep = solve_second_kind(skp, mesh)
-        rep.meta["strategy"] = "second-kind"
-    elif strategy == "first-kind-g":
-        rep = _solve_first_kind_g(problem, mesh, data)
-    else:
-        raise ValidationError(f"unknown strategy '{strategy}'")
+    transform = (transform_first_kind_weighted
+                 if problem.variant == "weighted-k" else transform_first_kind_K)
+    rep = solve_second_kind(transform(problem, data, mesh), mesh)
     rep.meta["jacobi_nodes"] = data.rule.n
-    return rep
-
-
-def _solve_first_kind_g(problem: FirstKindProblem, mesh: Mesh,
-                        data: SonineData) -> SolveReport:
-    """Midpoint product rule on the integrated (pre-differentiation) form:
-    int_0^t g(., t-s) u(s) ds = int_0^t K(t-s) f(s) ds."""
-    require_wsc1(data)
-    pair, weight, forcing = problem.pair, problem.weight, problem.forcing
-    t = mesh.points
-    n = mesh.n
-    tau = mesh.tau
-    mids = 0.5 * (t[:-1] + t[1:])
-    umid = np.zeros(n)
-
-    if problem.variant == "weighted-k":
-        w = power_conv_matrix(1.0 - pair.alpha0, mesh, "right")
-        rhs_all = w @ _values(forcing.f, t) / pair.assoc_norm
-    else:
-        w = power_conv_matrix(pair.alpha0, mesh, "left")
-        psi = np.asarray(weight(np.zeros(n + 1), t)) * np.asarray(pair.k_smooth_part(t))
-
-    for i in range(1, n + 1):
-        ti = t[i]
-        if problem.variant == "weighted-k":
-            rhs = rhs_all[i]
-            gvals = eval_g(data, mids[:i], ti - mids[:i])
-        else:
-            fshift = _values(forcing.f, ti - t[: i + 1])
-            rhs = float(w[i, : i + 1] @ (psi[: i + 1] * fshift))
-            gvals = eval_g(data, np.zeros(i), ti - mids[:i])
-        coeffs = tau[:i] * np.atleast_1d(gvals)
-        acc = float(np.dot(coeffs[: i - 1], umid[: i - 1])) if i > 1 else 0.0
-        if abs(coeffs[i - 1]) < 1e-300:
-            raise NumericalError(f"vanishing diagonal in first-kind-g at t = {ti}")
-        umid[i - 1] = (rhs - acc) / coeffs[i - 1]
-        if not np.isfinite(umid[i - 1]):
-            raise NumericalError(f"non-finite solution value at t = {ti}")
-    rep = SolveReport(mesh, mids, umid)
-    rep.meta["strategy"] = "first-kind-g"
     return rep
 
 
@@ -501,7 +439,6 @@ def solve_nonlocal_ode(problem: NonlocalOdeProblem, mesh: Mesh,
         r=r,
         u0=None)
     rep = solve_second_kind(skp, mesh)
-    rep.meta["strategy"] = "nonlocal-ode"
     rep.meta["jacobi_nodes"] = data.rule.n
     return rep
 
@@ -550,7 +487,7 @@ def construct_csc_associate(data: SonineData, mesh: Mesh,
     associate of K in the classical condition, verified at checkpoints."""
     problem = FirstKindProblem(data.pair, data.weight, Forcing.constant(1.0),
                                variant="K-kernel")
-    rep = solve_first_kind(problem, mesh, "second-kind", data)
+    rep = solve_first_kind(problem, mesh, data)
     pair = data.pair
     cps = np.asarray([snap_to_mesh(mesh, c * pair.b) for c in checkpoints])
     res = np.asarray([conv_with_K(pair, mesh, rep.u, tc) - 1.0 for tc in cps])

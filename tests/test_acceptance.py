@@ -51,7 +51,7 @@ def manufactured_pipeline():
     errors, residuals = [], []
     for n in (64, 128, 256, 512):
         mesh = Mesh(1.0, n, 4.0)
-        rep = solve_first_kind(problem, mesh, "second-kind", data)
+        rep = solve_first_kind(problem, mesh, data)
         errors.append(max_node_error(mesh, rep.u, lambda t: 1.0 + t))
         _, res = residual_first_kind(problem, mesh, rep.u, [0.25, 0.5, 1.0])
         residuals.append(float(np.max(np.abs(res))))

@@ -10,8 +10,8 @@ from wsonine.errors import NumericalError, ValidationError
 from wsonine.quadrature import (MEMORY_PANEL_LEVELS, MEMORY_PANEL_NODES, Mesh,
                                 default_grading, graded_nodes,
                                 graded_panel_quad, jacobi_rule, lag_rule,
-                                power_conv_matrix, power_conv_weights,
-                                power_moment)
+                                memory_panel_weights, power_conv_matrix,
+                                power_conv_weights, power_moment)
 from wsonine.sonine import SONINE_JACOBI_N, SONINE_JACOBI_POWER
 
 
@@ -179,6 +179,20 @@ class TestPowerConvMatrix:
         np.testing.assert_allclose(w[1:] @ t, t[1:] ** (1.0 - beta) / (1.0 - beta),
                                    rtol=1e-11)
 
+    @settings(max_examples=40, deadline=None)
+    @given(beta=st.floats(0.05, 0.95), r=st.floats(1.0, 4.0),
+           n=st.integers(1, 64))
+    def test_exact_on_linear_data_at_both_ends(self, beta, r, n):
+        # int_0^t (t-s)^(-beta) s ds = t^(2-beta) / ((1-beta)(2-beta)),
+        # int_0^t s^(-beta) s ds = t^(2-beta) / (2-beta)
+        mesh = Mesh(1.0, n, r)
+        t = mesh.points
+        top = t[1:] ** (2.0 - beta) / (2.0 - beta)
+        np.testing.assert_allclose((power_conv_matrix(beta, mesh, "right") @ t)[1:],
+                                   top / (1.0 - beta), rtol=1e-12)
+        np.testing.assert_allclose((power_conv_matrix(beta, mesh, "left") @ t)[1:],
+                                   top, rtol=1e-12)
+
     def test_validation(self):
         mesh = Mesh(1.0, 8)
         with pytest.raises(ValidationError):
@@ -198,6 +212,34 @@ class TestLagRule:
         np.testing.assert_allclose(xs, want_x, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(xw, want_w, rtol=1e-14, atol=0.0)
         assert xw.sum() == pytest.approx(tau, rel=1e-14)
+
+
+class TestMemoryPanelWeights:
+    @pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
+    def test_exact_on_cubic_integrand(self, r):
+        # m(y, x) = y x and u = t: int_0^t y (t - y) y dy = t^4 / 12
+        t = Mesh(1.0, 24, r).points
+        for i in range(1, len(t)):
+            m0, m1 = memory_panel_weights(lambda y, x: y * x, t, i)
+            assert m0.shape == m1.shape == (i,)
+            got = m0 @ t[:i] + m1 @ t[1 : i + 1]
+            assert got == pytest.approx(t[i] ** 4 / 12, rel=1e-13, abs=0.0)
+
+    def test_newest_panel_gets_the_exact_lag(self):
+        t = Mesh(1.0, 16, 4.0).points
+        for i in (1, 2, 9, 16):
+            calls = []
+            memory_panel_weights(lambda y, x: calls.append((y, x)) or np.ones_like(y),
+                                 t, i)
+            (y, x), = calls
+            xs, _ = lag_rule(t[i] - t[i - 1])
+            assert np.array_equal(x[-len(xs):], xs)
+            assert np.array_equal(y[-len(xs):], t[i] - xs)
+
+    def test_nonfinite_newest_panel_rejected(self):
+        t = Mesh(1.0, 4).points
+        with pytest.raises(NumericalError):
+            memory_panel_weights(lambda y, x: np.full_like(y, np.inf), t, 2)
 
 
 class TestGradedPanelQuad:

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsonine.errors import DomainError, UnsupportedConfigurationError
-from wsonine.kernels import KernelPair, Weight
+from wsonine.kernels import WEIGHT_PRESETS, KernelPair, Weight
 from wsonine.quadrature import Mesh
-from wsonine.sonine import (G_reference, G2_fd, SONINE_JACOBI_N, SonineData,
-                            associate_from_wsc2, csc_residual, eval_G, eval_g,
-                            eval_g2, g_reference, wsc1_report, wsc2_report)
+from wsonine.sonine import (G_reference, SONINE_JACOBI_N, SonineData,
+                            associate_from_wsc2, csc_residual, eval_G, eval_G2,
+                            eval_g, eval_g2, g_reference, wsc1_report,
+                            wsc2_report)
 
 # variable exponents, rising and falling, with alpha(0) across (0,1)
 VARIABLE_EXPONENTS = ["0.5 + 0.1*t", "0.5 + 0.2*sin(t)", "0.3 + 0.4*t",
@@ -62,6 +65,16 @@ class TestEvalG:
     def test_limit_branch_exact(self, var_data, bilinear):
         for s in (0.0, 0.25, 0.5):
             assert eval_g(var_data, s, 0.0) == float(bilinear(s, s))
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.floats(0.0, 1.0), alpha=st.sampled_from(["0.5", "0.3 + 0.4*t"]),
+           w=st.sampled_from(sorted(WEIGHT_PRESETS.values())))
+    def test_diagonal_is_the_weight(self, s, alpha, w):
+        # g(s, 0) = w(s, s) for every pair and weight
+        weight = Weight.from_expr(w, b=1.0)
+        data = SonineData.make(KernelPair.make(alpha, b=1.0), weight)
+        assert eval_g(data, s, 0.0) == pytest.approx(float(weight(s, s)),
+                                                     rel=1e-12, abs=1e-12)
 
     def test_continuity_at_zero(self, var_data, bilinear):
         for s in (0.0, 0.25, 0.5):
@@ -149,10 +162,29 @@ class TestEvalBigG:
         ref = G_reference(const_pair, bilinear, 0.2, 0.5)
         assert got == pytest.approx(ref, rel=1e-6)
 
-    def test_fd_derivative(self, const_pair, bilinear):
-        for s, t in [(0.0, 0.4), (0.25, 0.5)]:
-            assert G2_fd(const_pair, bilinear, s, t) == pytest.approx(
-                s / 2, abs=1e-6)
+    def test_derivative_closed_form(self, const_pair, bilinear):
+        # dG/dt = s/2 for w = 1 + s*t at alpha = 1/2
+        for s, t in [(0.0, 0.4), (0.25, 0.5), (0.5, 0.5), (0.3, 0.0)]:
+            assert eval_G2(const_pair, bilinear, s, t) == pytest.approx(
+                s / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", ["0.2", "0.5", "0.8"])
+    def test_derivative_at_horizon(self, alpha):
+        # s + t = b, where a centered difference of G would leave the domain
+        pair = KernelPair.make(alpha, b=1.0)
+        weight = Weight.from_expr("exp(-(t - s))", b=1.0)
+        for s, t in [(0.0, 1.0), (0.25, 0.75), (0.6, 0.4)]:
+            got = eval_G2(pair, weight, s, t)
+            ref = eval_G2(pair, weight, s, t, rule_n=200)
+            assert got == pytest.approx(ref, rel=1e-13, abs=1e-13)
+
+    def test_derivative_matches_difference_of_G(self, const_pair):
+        weight = Weight.from_expr("exp(-(t - s))", b=1.0)
+        h = 1e-5
+        for s, t in [(0.1, 0.3), (0.2, 0.6)]:
+            fd = (eval_G(const_pair, weight, s, t + h)
+                  - eval_G(const_pair, weight, s, t - h)) / (2 * h)
+            assert eval_G2(const_pair, weight, s, t) == pytest.approx(fd, rel=1e-8)
 
     def test_variable_exponent_rejected(self, var_pair, bilinear):
         with pytest.raises(UnsupportedConfigurationError):

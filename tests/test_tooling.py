@@ -1,6 +1,7 @@
 """The benchmark's span tracer patches library names from outside
 (``perfbench/spans.py``); a rename or a removed module global makes
-``perfbench/run.py --trace 1`` fail, so the tracer is exercised here."""
+``perfbench/run.py --trace 1`` fail, so the tracer is exercised here, as
+are the benchmark workloads and the scripts under ``scripts/``."""
 
 import importlib.util
 import math
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from wsonine import expr, kernels, sonine, subdiffusion, vie
 from wsonine.kernels import KernelPair, Weight
@@ -78,3 +80,20 @@ def test_benchmark_workloads_run_one_small_rung():
             assert np.isfinite(rung.error) and np.isfinite(rung.residual), wl.name
     finally:
         del sys.modules[spec.name]
+
+
+SCRIPTS = SPANS.parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("verify_presets", []),
+    ("convergence_study", ["--n", "8", "--doublings", "1"]),
+    ("subdiffusion_demo", ["--m", "4", "--n", "8"]),
+])
+def test_scripts_run_at_small_sizes(name, argv, capsys):
+    spec = importlib.util.spec_from_file_location(f"script_{name}",
+                                                  SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(argv) == 0
+    assert capsys.readouterr().out

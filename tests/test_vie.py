@@ -189,28 +189,34 @@ class TestMeshHelpers:
 
 class TestFirstKind:
     # the K-kernel problem u = t, f = t^(a0+1) / (a0 (a0+1) kappa(a0)) at
-    # a0 = 1/2, w = 1 + s t, r = 4; max nodal errors of the row-by-row
-    # assembly these weights replaced
-    K_KERNEL_ERRORS = {("second-kind", 64): 0.0018537076528060137,
-                       ("second-kind", 128): 0.0006780720961864217,
-                       ("first-kind-g", 64): 0.00018947279552972152,
-                       ("first-kind-g", 128): 4.8835301492689e-05}
+    # a0 = 1/2, w = 1 + s t, r = 4, solved through its second-kind form;
+    # max nodal errors with the power at the right end of each row
+    K_KERNEL_ERRORS = {64: 9.834622691429207e-05, 128: 2.497172390247826e-05}
 
-    @pytest.mark.parametrize("strategy, n", list(K_KERNEL_ERRORS))
-    def test_k_kernel_errors_pinned(self, const_pair, bilinear, const_data,
-                                    strategy, n):
+    @staticmethod
+    def k_kernel_error(data, n):
         scale = 1.0 / (0.5 * 1.5 * math.pi)
         fc = Forcing.from_expr(f"{scale!r}*t^1.5")
-        prob = FirstKindProblem(const_pair, bilinear, fc, variant="K-kernel")
-        rep = solve_first_kind(prob, Mesh(1.0, n, 4.0), strategy, const_data)
-        err = float(np.max(np.abs(rep.u - rep.t)))
-        assert err == pytest.approx(self.K_KERNEL_ERRORS[strategy, n], rel=1e-9)
+        prob = FirstKindProblem(data.pair, data.weight, fc, variant="K-kernel")
+        rep = solve_first_kind(prob, Mesh(1.0, n, 4.0), data)
+        return float(np.max(np.abs(rep.u - rep.t)))
+
+    @pytest.mark.parametrize("n", list(K_KERNEL_ERRORS),
+                             ids=lambda n: f"second-kind-{n}")
+    def test_k_kernel_errors_pinned(self, const_data, n):
+        err = self.k_kernel_error(const_data, n)
+        assert err == pytest.approx(self.K_KERNEL_ERRORS[n], rel=1e-9)
+
+    def test_k_kernel_second_order(self, const_data):
+        errs = [self.k_kernel_error(const_data, n) for n in (64, 128, 256, 512)]
+        orders = observed_orders(errs)[1:]
+        assert min(orders) >= 1.9, orders
 
     def test_constant_expression_forcing(self, const_pair, bilinear, const_data):
         # f' = 0 evaluates to a scalar; the assembly broadcasts it
         fc = Forcing.from_expr("2")
         prob = FirstKindProblem(const_pair, bilinear, fc, variant="K-kernel")
-        rep = solve_first_kind(prob, Mesh(1.0, 16, 4.0), "second-kind", const_data)
+        rep = solve_first_kind(prob, Mesh(1.0, 16, 4.0), const_data)
         assert np.all(np.isfinite(rep.u))
 
     def test_transform_rhs_start_value(self, const_pair, bilinear, const_data):
@@ -228,7 +234,7 @@ class TestFirstKind:
         errs = []
         for n in (64, 128):
             mesh = Mesh(1.0, n, 4.0)
-            rep = solve_first_kind(prob, mesh, "second-kind", const_data)
+            rep = solve_first_kind(prob, mesh, const_data)
             errs.append(max_node_error(mesh, rep.u, exact))
         assert errs[-1] <= 1e-3
         assert errs[1] < errs[0]
@@ -237,26 +243,9 @@ class TestFirstKind:
         fc = manufactured_forcing(const_pair, bilinear, "1 + t")
         prob = FirstKindProblem(const_pair, bilinear, fc)
         mesh = Mesh(1.0, 128, 4.0)
-        rep = solve_first_kind(prob, mesh, "second-kind", const_data)
+        rep = solve_first_kind(prob, mesh, const_data)
         _, res = residual_first_kind(prob, mesh, rep.u, [0.25, 0.5, 1.0])
         assert np.max(np.abs(res)) <= 1e-3
-
-    def test_first_kind_g_strategy(self, const_pair, bilinear, const_data):
-        fc = manufactured_forcing(const_pair, bilinear, "1 + t")
-        prob = FirstKindProblem(const_pair, bilinear, fc)
-        mesh = Mesh(1.0, 128, 4.0)
-        rep = solve_first_kind(prob, mesh, "first-kind-g", const_data)
-        mids = rep.t
-        ue = 1.0 + mids
-        wl1 = float(np.sum(mesh.tau * np.abs(rep.u - ue))
-                    / np.sum(mesh.tau * np.abs(ue)))
-        assert wl1 <= 1e-3
-        assert rep.meta["strategy"] == "first-kind-g"
-
-    def test_unknown_strategy(self, const_pair, bilinear):
-        prob = FirstKindProblem(const_pair, bilinear, Forcing.from_expr("t"))
-        with pytest.raises(ValidationError):
-            solve_first_kind(prob, Mesh(1.0, 8), "collocation")
 
     def test_bad_weight_rejected(self, const_pair):
         bad = Weight.from_expr("t - s", b=1.0)
