@@ -171,7 +171,8 @@ def cmd_solve(cfg: RunConfig, kind: str, out_dir: str) -> int:
                       zip(rep.residual_points, rep.residuals))
     _note(f"solve kind={kind} N={mesh.n} done; outputs in {out_dir}")
     summary = {"command": "solve", "status": "ok", "kind": kind,
-               "jacobi_nodes": rep.meta["jacobi_nodes"]}
+               "jacobi_nodes": rep.meta["jacobi_nodes"],
+               "memory_skipped": rep.meta["memory_skipped"]}
     if max_res is not None:
         summary["max_residual"] = max_res
     if err is not None:

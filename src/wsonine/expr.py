@@ -74,6 +74,23 @@ def serialize(ast: ExprAst) -> str:
     return str(ast)
 
 
+def substitute(ast: ExprAst, values: Mapping[str, float]) -> ExprAst:
+    """ast with each named variable replaced by its value and every constant
+    subtree folded; 0*a and 0/a fold to 0 as in derivatives.  A constant
+    subtree whose evaluation raises DomainError (ln(0), say) stays unfolded."""
+    if ast.kind == "var":
+        return _const(values[ast.name]) if ast.name in values else ast
+    if ast.kind == "const":
+        return ast
+    args = tuple(substitute(a, values) for a in ast.args)
+    if all(_is_const(a) for a in args):
+        try:
+            return _const(_eval(ExprAst(ast.kind, args=args), {}))
+        except DomainError:
+            pass
+    return _mk(ast.kind, *args, span=ast.span)
+
+
 def as_function(ast_or_fn, names=("t",)):
     """Adapt an ExprAst or expression text to a callable of the variables
     `names`, taken positionally in that order; a callable passes through.

@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .csvfile import write_csv
 from .errors import DomainError, UnsupportedConfigurationError, ValidationError
-from .kernels import KernelPair, Weight
+from .expr import substitute
+from .kernels import KernelPair, Weight, gamma
 from .quadrature import DEFAULT_JACOBI_N, JacobiRule, graded_panel_quad, jacobi_rule
 
 IDENTITY_TOL = 1e-8
@@ -80,23 +82,50 @@ def eval_g(data: SonineData, s, t):
     return float(out) if scalar else out
 
 
+# Below this lag (alpha(0) - alpha(x))/x cancels, so it is taken as minus
+# the 2-point Gauss-Legendre mean of alpha' over [0, x].
+SMALL_LAG = 1e-3
+_MEAN_NODES = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)
+
+
 def eval_g2(data: SonineData, s, t):
-    """dg/dt from the differentiated substituted integral (t > 0 only)."""
+    """dg/dt = (1/kappa) sum_j w_j z_j phi (w_t + w D) at x = t z_j (t > 0),
+    phi = x^e, e = alpha(0) - alpha(x), D = e/x - alpha'(x) ln x; a normalized
+    pair multiplies phi by Gamma(1-alpha(0))/Gamma(1-alpha(x)) and adds
+    digamma(1-alpha(x)) alpha'(x) to D.  A constant exponent leaves w_t z."""
     scalar = np.ndim(s) == 0 and np.ndim(t) == 0
     s, t = _check_domain(data, s, t, need_t_positive=True)
     pair, w, rule = data.pair, data.weight, data.rule
-    shape = s.shape
     s2 = s.reshape(-1, 1)
-    t2 = t.reshape(-1, 1)
     z = rule.nodes[None, :]
-    x = t2 * z
-    sf = pair.smooth_factor(x)
-    ratio = pair.gamma_ratio(x)
-    a1 = np.asarray(w.dt(s2, x + s2)) * z * sf * ratio
-    dsr = pair.smooth_factor_dt(t2, z) * ratio + sf * pair.gamma_ratio_dx(x) * z
-    vals = a1 + np.asarray(w(s2, x + s2)) * dsr
-    out = (np.broadcast_to(vals, x.shape) @ rule.weights).reshape(shape) / pair.kappa
+    x = t.reshape(-1, 1) * z
+    y = x + s2
+    expo = pair.exponent
+    if expo.is_constant:
+        vals = np.asarray(w.dt(s2, y)) * z
+    else:
+        a = np.asarray(expo(x))
+        ap = np.asarray(expo.prime(x))
+        e = pair.alpha0 - a
+        log_x = np.log(x)
+        phi = np.exp(e * log_x)
+        mean_ap = 0.5 * sum(np.asarray(expo.prime(x * c)) for c in _MEAN_NODES)
+        d = np.where(x < SMALL_LAG, -mean_ap, e / x) - ap * log_x
+        if pair.normalized:
+            phi = phi * (gamma(1.0 - pair.alpha0) / gamma(1.0 - a))
+            d = d + special.digamma(1.0 - a) * ap
+        vals = z * phi * (np.asarray(w.dt(s2, y)) + np.asarray(w(s2, y)) * d)
+    out = (np.broadcast_to(vals, x.shape) @ rule.weights).reshape(s.shape) / pair.kappa
     return float(out) if scalar else out
+
+
+def g2_vanishes(pair: KernelPair, weight: Weight, s=None) -> bool:
+    """True when g2(s, .) is identically 0: the exponent is constant and
+    w_t folds to the constant 0, at the given s or, with s None, for every s."""
+    if not pair.exponent.is_constant:
+        return False
+    w_t = substitute(weight.w2, {} if s is None else {"s": float(s)})
+    return w_t.kind == "const" and w_t.value == 0.0
 
 
 def _power_singular_quad(fn, width: float, beta: float, levels: int) -> float:
@@ -322,7 +351,9 @@ def associate_from_wsc2(pair: KernelPair, weight: Weight, mesh,
     def rhs(t):
         return float(weight(0.0, t)) * pair.K(t)
 
-    problem = vie.SecondKindProblem(d=lambda t: G00, m=memory, r=rhs)
+    # G2(0, .) is a (1 - z)-weighted mean of w_t(0, .): zero with g2(0, .)
+    skip = g2_vanishes(pair, weight, 0.0)
+    problem = vie.SecondKindProblem(d=lambda t: G00, m=None if skip else memory, r=rhs)
     rep = vie.solve_second_kind(problem, mesh)
     cps = np.asarray([vie.snap_to_mesh(mesh, c * pair.b) for c in checkpoints])
     res = np.asarray([vie.conv_with_k(pair, mesh, rep.u, tc) - 1.0 for tc in cps])

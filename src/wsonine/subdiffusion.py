@@ -29,7 +29,7 @@ from .expr import ExprAst, as_function
 from .kernels import KernelPair, Weight, gamma
 from .quadrature import Mesh, memory_panel_weights, power_conv_matrix
 # wsc1_report stays bound here: the benchmark's span tracer patches it
-from .sonine import SonineData, eval_g2, wsc1_report  # noqa: F401
+from .sonine import SonineData, eval_g2, g2_vanishes, wsc1_report  # noqa: F401
 from .vie import require_wsc1
 
 INSTABILITY_FACTOR = 1e3
@@ -138,20 +138,25 @@ def solve_subdiffusion(config: PdeConfig,
         return out / h ** 2
 
     solve_res = np.zeros(n + 1)
+    memory_skipped = g2_vanishes(data.pair, data.weight)
 
     for i in range(1, n + 1):
         gi = gdiag[i]
-        m0, m1 = memory_panel_weights(lambda y, lag: eval_g2(data, y, lag), t, i)
-        # B_j = int over panel j of g2(s, t_i - s) ds.  The memory term
-        # -sum_{j<i-1} B_j (u_{j+1} - u_j)/tau_j + B_{i-1} u_{i-1}/tau_{i-1}
-        # regrouped by u_j: the coefficients are differences of B_j / tau_j
-        b_panels = m0 + m1
-        c = np.diff(b_panels / tau[:i], prepend=0.0)
+        if memory_skipped:
+            memory, b_last = 0.0, 0.0
+        else:
+            m0, m1 = memory_panel_weights(lambda y, lag: eval_g2(data, y, lag), t, i)
+            # B_j = int over panel j of g2(s, t_i - s) ds.  The memory term
+            # -sum_{j<i-1} B_j (u_{j+1} - u_j)/tau_j + B_{i-1} u_{i-1}/tau_{i-1}
+            # regrouped by u_j: the coefficients are differences of B_j / tau_j
+            b_panels = m0 + m1
+            c = np.diff(b_panels / tau[:i], prepend=0.0)
+            memory, b_last = c @ u[:i], b_panels[i - 1]
         # sum_j lw_ij lap(u_j) = lap(sum_j lw_ij u_j): the Laplacian is linear
         rhs = u[i - 1] / tau[i - 1] + (
-            c @ u[:i] + lap(lw[i, :i] @ u[:i]) + fhist[i]) / gi
+            memory + lap(lw[i, :i] @ u[:i]) + fhist[i]) / gi
 
-        shift = 1.0 / tau[i - 1] + b_panels[i - 1] / (gi * tau[i - 1])
+        shift = 1.0 / tau[i - 1] + b_last / (gi * tau[i - 1])
         coef = lw[i, i] / gi
         ab = np.zeros((3, m))
         ab[0, 1:] = -coef / h ** 2
@@ -172,4 +177,5 @@ def solve_subdiffusion(config: PdeConfig,
         solve_res[i] = float(np.max(np.abs(resid)))
 
     return PdeSolution(x, t.copy(), u, solve_res,
-                       meta={"m": m, "n": n, "jacobi_nodes": data.rule.n})
+                       meta={"m": m, "n": n, "jacobi_nodes": data.rule.n,
+                             "memory_skipped": memory_skipped})

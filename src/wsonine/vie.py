@@ -24,7 +24,7 @@ from .expr import ExprAst, as_function, diff_expr, parse_expr
 from .kernels import KernelPair, Weight
 from .quadrature import (Mesh, graded_panel_quad, memory_panel_weights,
                          power_conv_matrix, power_conv_weights)
-from .sonine import SonineData, eval_g2, wsc1_report
+from .sonine import SonineData, eval_g2, g2_vanishes, wsc1_report
 
 
 # ------------------------------------------------------------------ types
@@ -137,7 +137,8 @@ class NonlocalOdeProblem:
 @dataclass
 class SecondKindProblem:
     d: Callable                      # diagonal coefficient d(t)
-    m: Callable                      # memory kernel m(y, t), vectorized in y
+    m: Optional[Callable]            # memory kernel m(y, t), vectorized in y;
+                                     # None when it is identically 0
     r: Union[Callable, np.ndarray]   # right-hand side, callable or per-node
     u0: Optional[float] = None       # known value at t = 0, if any
 
@@ -178,7 +179,7 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
     """Time-stepping product integration: piecewise-linear solution, memory
     term by quadrature.memory_panel_weights (2-point Gauss on interior panels,
     graded quadrature in the lag variable on the panel touching the
-    singularity of m at y = t)."""
+    singularity of m at y = t), skipped when m is None."""
     t = mesh.points
     n = mesh.n
     u = np.zeros(n + 1)
@@ -200,11 +201,14 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
         if abs(di) < d_min:
             raise NumericalError(f"diagonal coefficient below {d_min} at t = {ti}")
         ri = problem.rhs_at(i, ti)
-        w0, w1 = memory_panel_weights(lambda y, x: problem.m(y, ti), t, i)
-        # every panel but the newest acts on known values; on the newest,
-        # m0 multiplies u_{i-1} and m1 the unknown u_i
-        interior = float(w0[:-1] @ u[: i - 1] + w1[:-1] @ u[1:i])
-        m0, m1 = w0[-1], w1[-1]
+        if problem.m is None:
+            interior, m0, m1 = 0.0, 0.0, 0.0
+        else:
+            w0, w1 = memory_panel_weights(lambda y, x: problem.m(y, ti), t, i)
+            # every panel but the newest acts on known values; on the newest,
+            # m0 multiplies u_{i-1} and m1 the unknown u_i
+            interior = float(w0[:-1] @ u[: i - 1] + w1[:-1] @ u[1:i])
+            m0, m1 = w0[-1], w1[-1]
 
         if i == 1 and u0 is None:
             # constant extension over the first panel
@@ -215,7 +219,7 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
             raise NumericalError(f"non-finite solution value at t = {ti}")
     if problem.u0 is None and u0 is None:
         u[0] = u[1]
-    return SolveReport(mesh, t, u)
+    return SolveReport(mesh, t, u, meta={"memory_skipped": problem.m is None})
 
 
 # ----------------------------------------------------- mesh/metric helpers
@@ -362,9 +366,16 @@ def transform_first_kind_weighted(problem: FirstKindProblem, data: SonineData,
 
     return SecondKindProblem(
         d=lambda tt: float(weight(tt, tt)),
-        m=lambda y, tt: eval_g2(data, y, tt - y),
+        m=_memory(data),
         r=r,
         u0=None)
+
+
+def _memory(data: SonineData, s=None):
+    """m(y, t) = g2(s, t - y), s = y when None; None when g2(s, .) vanishes."""
+    if g2_vanishes(data.pair, data.weight, s):
+        return None
+    return lambda y, tt: eval_g2(data, y if s is None else s, tt - y)
 
 
 def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
@@ -403,7 +414,7 @@ def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
     g00 = float(weight(0.0, 0.0))
     return SecondKindProblem(
         d=lambda tt: g00,
-        m=lambda y, tt: eval_g2(data, 0.0, tt - y),
+        m=_memory(data, 0.0),
         r=r,
         u0=None)
 
@@ -435,7 +446,7 @@ def solve_nonlocal_ode(problem: NonlocalOdeProblem, mesh: Mesh,
     r = rhs_K_conv(pair, problem.forcing, problem.c, mesh)
     skp = SecondKindProblem(
         d=lambda tt: float(weight(tt, tt)),
-        m=lambda y, tt: eval_g2(data, y, tt - y),
+        m=_memory(data),
         r=r,
         u0=None)
     rep = solve_second_kind(skp, mesh)

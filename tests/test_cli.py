@@ -220,6 +220,51 @@ r = 4
         assert code == 4
         assert summary["status"] == "numerical-failure"
 
+    def test_vie1k_constant_exponent_skips_memory(self, tmp_path, capsys):
+        # w_t(0, t) = 0 and alpha is constant: g2(0, .) = 0, no memory term
+        cfg = """
+[kernel]
+alpha = "0.5"
+
+[weight]
+w = "1 + s*t"
+
+[forcing]
+f = "0.42441318157838759*t^1.5"
+exact = "t"
+
+[mesh]
+n = 16
+r = 4
+"""
+        code, _ = run_cli(tmp_path, cfg, "solve", "--kind", "vie1k")
+        summary, _ = last_json(capsys)
+        assert code == 0
+        assert summary["memory_skipped"] is True
+        assert summary["error"] <= 5e-3
+
+    def test_vie1_variable_exponent_keeps_memory(self, tmp_path, capsys):
+        cfg = """
+[kernel]
+alpha = "0.5 + 0.1*t"
+
+[weight]
+w = "1 + s*t"
+
+[forcing]
+manufactured = true
+exact = "1 + t"
+
+[mesh]
+n = 16
+r = 4
+"""
+        code, _ = run_cli(tmp_path, cfg, "solve", "--kind", "vie1")
+        summary, _ = last_json(capsys)
+        assert code == 0
+        assert summary["memory_skipped"] is False
+        assert summary["jacobi_nodes"] == SONINE_JACOBI_N
+
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         _, out = run_cli(tmp_path, ODE_SQRT, "solve", "--kind", "ode")
         first = (out / "solution.csv").read_bytes()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wsonine.errors import (DomainError, ExprSyntaxError,
                             UnknownIdentifierError, ValidationError)
 from wsonine.expr import (ExprAst, as_function, diff_expr, eval_expr,
-                          parse_expr, serialize)
+                          parse_expr, serialize, substitute)
 
 
 def ev(text, **bindings):
@@ -131,3 +131,42 @@ class TestAsFunction:
         np.testing.assert_array_equal(as_function("0", ("x",))(x), np.zeros(3))
         with pytest.raises(ValidationError, match="unexpected variables"):
             as_function("x + s", ("x", "t"))
+
+
+class TestSubstitute:
+    def test_weight_derivative_at_zero_folds_to_zero(self):
+        w_t = diff_expr(parse_expr("1 + 0.9*s*t"), "t")
+        folded = substitute(w_t, {"s": 0.0})
+        assert folded.kind == "const" and folded.value == 0.0
+
+    def test_exponential_weight_does_not_fold(self):
+        w_t = diff_expr(parse_expr("exp(-(t - s))"), "t")
+        folded = substitute(w_t, {"s": 0.0})
+        assert folded.kind != "const"
+        t = np.array([0.1, 0.5])
+        np.testing.assert_array_equal(eval_expr(folded, {"t": t}),
+                                      eval_expr(w_t, {"s": 0.0, "t": t}))
+
+    @pytest.mark.parametrize("text", ["sin(s)*t", "s/t", "t*ln(1 + s)"])
+    def test_zero_factor_folds(self, text):
+        folded = substitute(parse_expr(text), {"s": 0.0})
+        assert folded.kind == "const" and folded.value == 0.0
+
+    def test_constant_subtrees_fold_without_substitution(self):
+        folded = substitute(parse_expr("t*(2 - 2) + 3^2"), {})
+        assert folded.kind == "const" and folded.value == 9.0
+
+    def test_domain_error_subtree_left_unfolded(self):
+        folded = substitute(parse_expr("ln(s) + t"), {"s": 0.0})
+        assert folded.kind == "+"
+        assert folded.args[0].kind == "ln" and folded.args[0].args[0].value == 0.0
+        with pytest.raises(DomainError):
+            eval_expr(folded, {"t": 1.0})
+
+    @given(SIMPLE, st.floats(min_value=0.05, max_value=2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_substituted_value_unchanged(self, text, t0):
+        ast = parse_expr(text)
+        folded = substitute(ast, {"t": t0})
+        assert folded.variables() == set()
+        assert eval_expr(folded, {}) == eval_expr(ast, {"t": t0})

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy import special
+
 from wsonine.errors import DomainError, UnsupportedConfigurationError
-from wsonine.kernels import WEIGHT_PRESETS, KernelPair, Weight
+from wsonine.kernels import (KERNEL_PRESETS, WEIGHT_PRESETS, KernelPair, Weight,
+                             gamma)
 from wsonine.quadrature import Mesh
 from wsonine.sonine import (G_reference, SONINE_JACOBI_N, SonineData,
                             associate_from_wsc2, csc_residual, eval_G, eval_G2,
-                            eval_g, eval_g2, g_reference, wsc1_report,
-                            wsc2_report)
+                            eval_g, eval_g2, g2_vanishes, g_reference,
+                            wsc1_report, wsc2_report)
 
 # variable exponents, rising and falling, with alpha(0) across (0,1)
 VARIABLE_EXPONENTS = ["0.5 + 0.1*t", "0.5 + 0.2*sin(t)", "0.3 + 0.4*t",
@@ -144,6 +147,99 @@ class TestEvalG2:
     def test_undefined_at_zero(self, var_data):
         with pytest.raises(DomainError):
             eval_g2(var_data, 0.1, 0.0)
+
+
+def unfused_g2(data, s, t):
+    """g2 composed from the KernelPair factor methods, one scalar (s, t)."""
+    pair, w, rule = data.pair, data.weight, data.rule
+    z = rule.nodes
+    x = t * z
+    sf = pair.smooth_factor(x)
+    ratio = pair.gamma_ratio(x)
+    a1 = np.asarray(w.dt(s, x + s)) * z * sf * ratio
+    dsr = pair.smooth_factor_dt(t, z) * ratio + sf * pair.gamma_ratio_dx(x) * z
+    return float((a1 + np.asarray(w(s, x + s)) * dsr) @ rule.weights) / pair.kappa
+
+
+def closed_form_g2(data, s, lam, e_over_x):
+    """The Jacobi sum of g2 with (alpha(0) - alpha(x))/x given in closed form."""
+    pair, w, rule = data.pair, data.weight, data.rule
+    z = rule.nodes
+    x = lam * z
+    a = np.asarray(pair.exponent(x))
+    ap = np.asarray(pair.exponent.prime(x))
+    phi = np.exp((pair.alpha0 - a) * np.log(x))
+    d = e_over_x(x) - ap * np.log(x)
+    if pair.normalized:
+        phi = phi * gamma(1.0 - pair.alpha0) / gamma(1.0 - a)
+        d = d + special.digamma(1.0 - a) * ap
+    vals = z * phi * (np.asarray(w.dt(s, x + s)) + np.asarray(w(s, x + s)) * d)
+    return float(vals @ rule.weights) / pair.kappa
+
+
+class TestFusedG2:
+    @pytest.mark.parametrize("weight", sorted(WEIGHT_PRESETS.values()))
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("alpha", sorted(KERNEL_PRESETS.values()) + ["0.05 + 0.9*t"])
+    def test_matches_unfused_factors(self, alpha, normalized, weight):
+        data = SonineData.make(KernelPair.make(alpha, normalized=normalized),
+                               Weight.from_expr(weight))
+        for s in (0.0, 0.2, 0.45):
+            for lam in (1e-3, 1e-2, 0.1, 0.5):
+                ref = unfused_g2(data, s, lam)
+                assert eval_g2(data, s, lam) == pytest.approx(ref, rel=1e-13, abs=0), \
+                    (s, lam)
+
+    @pytest.mark.parametrize("weight", sorted(WEIGHT_PRESETS.values()))
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("alpha, e_over_x", [
+        ("0.5 + 0.1*t", lambda x: np.full_like(x, -0.1)),
+        ("0.5 + 0.2*t", lambda x: np.full_like(x, -0.2)),
+        ("0.5 + 0.2*sin(t)", lambda x: -0.2 * np.sinc(x / np.pi)),
+    ])
+    def test_small_lags_without_cancellation(self, alpha, e_over_x, normalized,
+                                             weight):
+        data = SonineData.make(KernelPair.make(alpha, normalized=normalized),
+                               Weight.from_expr(weight))
+        for s in (0.0, 0.3):
+            for lam in (1e-12, 1e-9, 1e-6, 1e-3):
+                ref = closed_form_g2(data, s, lam, e_over_x)
+                assert eval_g2(data, s, lam) == pytest.approx(ref, rel=1e-13, abs=0), \
+                    (s, lam)
+
+
+class TestG2Vanishes:
+    def test_cases(self, const_pair, var_pair, bilinear):
+        one = Weight.from_expr("1")
+        assert g2_vanishes(const_pair, one)
+        assert not g2_vanishes(var_pair, one)
+        assert not g2_vanishes(const_pair, bilinear)
+        assert g2_vanishes(const_pair, bilinear, 0.0)
+        assert not g2_vanishes(const_pair, bilinear, 0.5)
+        assert not g2_vanishes(const_pair, Weight.from_expr("exp(-(t - s))"), 0.0)
+        # constant subtrees fold; s - s is not simplified, so it stays
+        assert g2_vanishes(const_pair, Weight.from_expr("1 + t*(2 - 2)"))
+        assert not g2_vanishes(const_pair, Weight.from_expr("1 + t*(s - s)"))
+
+    @given(a0=st.floats(0.1, 0.9), slope=st.sampled_from([0.0, 0.05]),
+           normalized=st.booleans(),
+           f=st.sampled_from(["s", "sin(s)", "exp(-s)", "s^2"]),
+           g=st.sampled_from(["t", "sin(t)", "exp(t)", "t^2", "ln(1 + t)"]),
+           c=st.sampled_from([0.0, 0.3]), c_t=st.sampled_from([0.0, 0.5]),
+           c_st=st.sampled_from([0.0, 0.4]), at_zero=st.booleans(),
+           s=st.floats(0.0, 0.5), lam=st.floats(1e-9, 0.5))
+    @settings(max_examples=80, deadline=None)
+    def test_predicate_implies_exact_zero(self, a0, slope, normalized, f, g, c,
+                                          c_t, c_st, at_zero, s, lam):
+        pair = KernelPair.make(f"{a0!r} + {slope!r}*t", normalized=normalized)
+        weight = Weight.from_expr(f"1 + {c!r}*{f} + {c_t!r}*{g} + {c_st!r}*{f}*{g}")
+        if not g2_vanishes(pair, weight, 0.0 if at_zero else None):
+            return
+        data = SonineData.make(pair, weight)
+        s = 0.0 if at_zero else s
+        assert eval_g2(data, s, lam) == 0.0
+        lams = lam * np.array([1e-3, 0.5, 1.0])
+        np.testing.assert_array_equal(eval_g2(data, np.full(3, s), lams), 0.0)
 
 
 class TestEvalBigG:

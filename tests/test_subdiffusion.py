@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wsonine import subdiffusion
 from wsonine.errors import NumericalError, ValidationError
 from wsonine.kernels import KernelPair, Weight, gamma
 from wsonine.quadrature import Mesh
@@ -176,6 +177,17 @@ class TestSolver:
                         initial="0", exact="t^2 * sin(3.141592653589793*x)")
         err = solve_subdiffusion(cfg).final_l2_error(cfg.exact)
         assert err == pytest.approx(want, rel=1e-9)
+
+    def test_memory_skip_bit_identical(self, monkeypatch, npair, unit_weight):
+        # w = 1 with a constant exponent: g2 = 0, and the memory panels are
+        # skipped without changing a bit of the solution
+        cfg = manufactured_config(npair, unit_weight, 32, 16)
+        skipped = solve_subdiffusion(cfg)
+        monkeypatch.setattr(subdiffusion, "g2_vanishes", lambda *args: False)
+        evaluated = solve_subdiffusion(cfg)
+        assert skipped.meta["memory_skipped"]
+        assert not evaluated.meta["memory_skipped"]
+        np.testing.assert_array_equal(skipped.u, evaluated.u)
 
     def test_manufactured_solution_error(self, npair, unit_weight):
         errs = []

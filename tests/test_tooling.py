@@ -49,6 +49,12 @@ def test_tracer_installs_runs_and_uninstalls():
         pcfg = subdiffusion.PdeConfig(4, Mesh(1.0, 8), npair, Weight.from_expr("1"),
                                       "sin(3.141592653589793*x)", "0")
         subdiffusion.solve_subdiffusion(pcfg)
+        # both memory kernels above are identically 0 and skipped; a variable
+        # exponent keeps the stepper's own eval_g2 binding in use
+        tracer.rung = 1
+        var = vie.FirstKindProblem(KernelPair.make("0.5 + 0.1*t"), weight,
+                                   vie.Forcing.from_expr("t"))
+        vie.solve_first_kind(var, mesh)
     finally:
         tracer.uninstall()
     assert patched_names() == before
@@ -59,6 +65,13 @@ def test_tracer_installs_runs_and_uninstalls():
                  "subdiffusion.banded"):
         assert totals[name][0] > 0, name
     assert np.all(np.isfinite(rep.u))
+    spans = tracer.arrays()
+    names = np.asarray(tracer.names)
+    g2 = spans["name_id"] == tracer.names.index("sonine.eval_g2")
+    callers = names[spans["name_id"][spans["parent"][g2]]]
+    from_steppers = np.isin(callers, ["vie.step", "subdiffusion.history"])
+    assert not np.any(from_steppers & (spans["rung"][g2] == 0))
+    assert np.any(from_steppers & (spans["rung"][g2] == 1))
 
 
 WORKLOADS = SPANS.parent / "workloads.py"

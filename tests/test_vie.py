@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsonine import vie
 from wsonine.errors import DomainError, NumericalError, ValidationError
 from wsonine.kernels import KernelPair, Weight
 from wsonine.quadrature import Mesh
@@ -281,6 +282,44 @@ class TestNonlocalOde:
                                   Forcing.constant(0.0), c=1.0)
         with pytest.raises(ValidationError):
             solve_nonlocal_ode(prob, Mesh(1.0, 16))
+
+
+class TestMemorySkip:
+    """A memory term that is identically 0 is skipped; the solution is the
+    one the stepper gives with the zero kernel evaluated."""
+
+    def solve_both(self, monkeypatch, solve):
+        skipped = solve()
+        monkeypatch.setattr(vie, "g2_vanishes", lambda *args: False)
+        evaluated = solve()
+        assert skipped.meta["memory_skipped"]
+        assert not evaluated.meta["memory_skipped"]
+        np.testing.assert_array_equal(skipped.u, evaluated.u)
+
+    def test_k_kernel(self, monkeypatch, const_data):
+        scale = 1.0 / (0.5 * 1.5 * math.pi)
+        prob = FirstKindProblem(const_data.pair, const_data.weight,
+                                Forcing.from_expr(f"{scale!r}*t^1.5"),
+                                variant="K-kernel")
+        self.solve_both(monkeypatch, lambda: solve_first_kind(
+            prob, Mesh(1.0, 64, 4.0), const_data))
+
+    def test_nonlocal_ode_unit_weight(self, monkeypatch):
+        pair = KernelPair.make("0.5", normalized=True)
+        prob = NonlocalOdeProblem(pair, Weight.from_expr("1"),
+                                  Forcing.from_expr("1 + t"), c=0.0)
+        self.solve_both(monkeypatch, lambda: solve_nonlocal_ode(
+            prob, Mesh(1.0, 64, 4.0)))
+
+    def test_memory_kept_when_g2_lives(self, const_pair, bilinear, const_data):
+        # w_t = s does not vanish off s = 0, nor does g2 for a variable exponent
+        ode = NonlocalOdeProblem(const_pair, bilinear, Forcing.from_expr("t"))
+        rep = solve_nonlocal_ode(ode, Mesh(1.0, 8), const_data)
+        assert not rep.meta["memory_skipped"]
+        var = KernelPair.make("0.5 + 0.1*t")
+        prob = FirstKindProblem(var, Weight.from_expr("1"), Forcing.from_expr("t"),
+                                variant="K-kernel")
+        assert not solve_first_kind(prob, Mesh(1.0, 8, 4.0)).meta["memory_skipped"]
 
 
 class TestAssociateConstruction:
