@@ -12,8 +12,9 @@ from .kernels import (KERNEL_PRESETS, WEIGHT_PRESETS, KernelPair,
                       weight_preset)
 from .quadrature import (JacobiRule, Mesh, default_grading, graded_panel_quad,
                          jacobi_rule, power_conv_matrix, power_conv_weights)
-from .sonine import (SonineData, associate_from_wsc2, csc_residual, eval_G,
-                     eval_g, eval_g2, g_reference, wsc1_report, wsc2_report)
+from .sonine import (G_reference, SonineData, associate_from_wsc2,
+                     csc_residual, eval_G, eval_G2, eval_g, eval_g2,
+                     g_reference, wsc1_report, wsc2_report)
 from .subdiffusion import PdeConfig, PdeSolution, l1_weights, solve_subdiffusion
 from .vie import (FirstKindProblem, Forcing, NonlocalOdeProblem,
                   SecondKindProblem, SolveReport, construct_csc_associate,

@@ -32,6 +32,8 @@ EXIT_VERIFY = 3
 EXIT_NUMERICAL = 4
 
 _SOLVE_KINDS = ("vie1", "vie1k", "ode", "pde")
+# [forcing] manufactured builds f of a first-kind equation from its solution
+_MANUFACTURED_KINDS = ("vie1", "vie1k")
 
 
 def _emit(summary: dict) -> None:
@@ -51,8 +53,7 @@ def _ensure_out(path: str) -> str:
 
 def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
     pair = cfg.make_pair()
-    weight = cfg.make_weight()
-    data = SonineData.make(pair, weight)
+    data = SonineData.make(pair, cfg.make_weight())
     tol = cfg.identity_tol
     failures = []
     residuals = []
@@ -61,7 +62,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
 
     if pair.exponent.is_constant:
         ts = [0.1 * k * pair.b for k in range(1, 11)]
-        rs = [csc_residual(pair, t, cfg.jacobi_n) for t in ts]
+        rs = [csc_residual(data, t) for t in ts]
         write_csv(os.path.join(out_dir, "csc.csv"), ["t", "residual"],
                   zip(ts, rs))
         worst = max(rs)
@@ -82,7 +83,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
     failures.extend(rep1.failures)
 
     if pair.exponent.is_constant:
-        rep2 = wsc2_report(pair, weight, tolerance=tol)
+        rep2 = wsc2_report(data, tolerance=tol)
         rep2.write_csv(os.path.join(out_dir, "wsc2.csv"))
         residuals.append(rep2.max_residual)
         checks["wsc2"] = "pass" if rep2.passed else "fail"
@@ -122,6 +123,9 @@ def _build_forcing(cfg: RunConfig, pair, weight) -> vie.Forcing:
 
 def _solve_once(cfg: RunConfig, kind: str, mesh: Mesh):
     """Returns (report-like, error-vs-exact or None, max_residual or None)."""
+    if cfg.manufactured and kind not in _MANUFACTURED_KINDS:
+        raise ConfigError(f"manufactured = true builds a first-kind forcing, for "
+                          f"--kind {' or '.join(_MANUFACTURED_KINDS)} only, not {kind}")
     pair = cfg.make_pair()
     weight = cfg.make_weight()
 

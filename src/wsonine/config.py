@@ -13,7 +13,7 @@ from typing import Optional
 from .errors import ConfigError, ExprError, ValidationError
 from .expr import parse_expr
 from .kernels import (KERNEL_PRESETS, WEIGHT_PRESETS, KernelPair, Weight)
-from .quadrature import DEFAULT_JACOBI_N, Mesh, default_grading
+from .quadrature import Mesh, default_grading
 
 # the accepted keys of each section; any other section or key is an error
 _KEYS = {
@@ -21,7 +21,6 @@ _KEYS = {
     "weight": ("preset", "w"),
     "forcing": ("f", "exact", "c", "manufactured"),
     "mesh": ("n", "r", "uniform"),
-    "quadrature": ("jacobi_n",),
     "tolerances": ("identity",),
     "output": ("dir",),
     "pde": ("m", "initial"),
@@ -125,7 +124,6 @@ class RunConfig:
     n: int
     grading: Optional[float]     # None -> default_grading(alpha0)
     uniform: bool
-    jacobi_n: int
     identity_tol: float
     out_dir: str
     pde_m: int
@@ -168,7 +166,6 @@ class RunConfig:
                 _check_expr(e, name)
 
         mesh = sec.get("mesh", {})
-        quad = sec.get("quadrature", {})
         tol = sec.get("tolerances", {})
         out = sec.get("output", {})
         pde = sec.get("pde", {})
@@ -188,7 +185,6 @@ class RunConfig:
             n=_get_int(mesh, "n", 128, lo=1),
             grading=None if grading is None else _get_float(mesh, "r", None, lo=1.0),
             uniform=_get_bool(mesh, "uniform", False),
-            jacobi_n=_get_int(quad, "jacobi_n", DEFAULT_JACOBI_N, lo=1),
             identity_tol=_get_float(tol, "identity", 1e-8, lo=0.0),
             out_dir=out.get("dir", "."),
             pde_m=_get_int(pde, "m", 32, lo=1),

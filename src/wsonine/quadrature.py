@@ -24,7 +24,6 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import NumericalError, ValidationError
 from .kernels import gamma
 
-DEFAULT_JACOBI_N = 32
 DEFAULT_PANEL_LEVELS = 60
 DEFAULT_PANEL_NODES = 16
 # graded rule on the newest memory panel of the steppers, in the lag variable

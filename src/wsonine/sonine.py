@@ -4,9 +4,10 @@ g(s,t) and its t-derivative are evaluated from the substituted single
 integral over (0,1) whose endpoint singularities are absorbed exactly by
 one fixed-size Gauss-Jacobi rule in the variable v = z^(1/p); the raw
 convolution form is kept only as an independent reference for
-verification reports.  G(s,t) (the order-swapped
-condition) is supported for constant exponents only, where the classical
-Sonine identity makes its reformulation exact.
+verification reports.  G(s,t) (the order-swapped condition), its
+t-derivative and the classical identity are integrals against the same
+measure and use the same rule.  G is supported for constant exponents
+only, where the classical Sonine identity makes its reformulation exact.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .csvfile import write_csv
 from .errors import DomainError, UnsupportedConfigurationError, ValidationError
 from .expr import substitute
 from .kernels import KernelPair, Weight, gamma
-from .quadrature import DEFAULT_JACOBI_N, JacobiRule, graded_panel_quad, jacobi_rule
+from .quadrature import JacobiRule, graded_panel_quad, jacobi_rule
 
 IDENTITY_TOL = 1e-8
 
@@ -34,7 +35,8 @@ SONINE_JACOBI_POWER = 4
 
 @dataclass(frozen=True)
 class SonineData:
-    """A kernel pair, a weight, and the quadrature rule evaluating g."""
+    """A kernel pair, a weight, and the one quadrature rule evaluating g,
+    g2, G, G2 and the classical identity."""
 
     pair: KernelPair
     weight: Weight
@@ -55,10 +57,11 @@ class SonineData:
 
 
 def _check_domain(data, s, t, need_t_positive=False):
+    """Broadcast (s, t) after checking s, t >= 0 and s + t <= b."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(s < 0.0) or np.any(t < 0.0):
-        raise DomainError("g requires s >= 0 and t >= 0")
+        raise DomainError("need s >= 0 and t >= 0")
     if need_t_positive and np.any(t <= 0.0):
         raise DomainError("g2 is undefined at t = 0 (may be unbounded)")
     if np.any(s + t > data.b * (1.0 + 1e-12)):
@@ -141,29 +144,36 @@ def _power_singular_quad(fn, width: float, beta: float, levels: int) -> float:
     return graded_panel_quad(fn, eps, width, "left", levels=levels) + sliver
 
 
-def g_reference(data: SonineData, s: float, t: float, levels: int = 60) -> float:
-    """Independent evaluation of the raw convolution defining g(s,t),
-    with each endpoint singularity moved to zero before graded quadrature."""
+def _conv_reference(w, s, t, first, second, beta, levels) -> float:
+    """int_0^t w(s, z+s) second(t-z) first(z) dz by graded quadrature, with
+    first(z) ~ z^(-beta) and second(u) ~ u^(beta-1): the integral is split at
+    t/2 and each half taken in the variable that puts its singularity at 0."""
     if t <= 0.0:
-        return float(data.weight(s, s))
-    pair, w = data.pair, data.weight
+        return float(w(s, s))
     half = 0.5 * t
 
-    def left(z):  # k(z) ~ z^(-a0)
-        return np.asarray(w(s, z + s)) * pair.K(t - z) * pair.k(z)
+    def left(z):
+        return np.asarray(w(s, z + s)) * second(t - z) * first(z)
 
-    def right(u):  # u = t - z, K(u) ~ u^(a0-1)
-        return np.asarray(w(s, t - u + s)) * pair.K(u) * pair.k(t - u)
+    def right(u):  # u = t - z
+        return np.asarray(w(s, t - u + s)) * second(u) * first(t - u)
 
-    return (_power_singular_quad(left, half, pair.alpha0, levels)
-            + _power_singular_quad(right, half, 1.0 - pair.alpha0, levels))
+    return (_power_singular_quad(left, half, beta, levels)
+            + _power_singular_quad(right, half, 1.0 - beta, levels))
 
 
-def csc_residual(pair: KernelPair, t: float, rule_n: int = DEFAULT_JACOBI_N) -> float:
-    """|int_0^t K(t-s) k(s) ds - 1| via the substituted Jacobi form."""
+def g_reference(data: SonineData, s: float, t: float, levels: int = 60) -> float:
+    """Independent evaluation of the raw convolution defining g(s,t)."""
+    pair = data.pair
+    return _conv_reference(data.weight, s, t, pair.k, pair.K, pair.alpha0, levels)
+
+
+def csc_residual(data: SonineData, t: float) -> float:
+    """|int_0^t K(t-s) k(s) ds - 1|, the substituted integral of g with
+    w = 1, on the rule of data."""
+    pair, rule = data.pair, data.rule
     if not 0.0 < t <= pair.b:
         raise DomainError(f"t must lie in (0, {pair.b}]")
-    rule = jacobi_rule(pair.alpha0, rule_n)
     x = t * rule.nodes
     val = np.dot(rule.weights, pair.smooth_factor(x) * pair.gamma_ratio(x))
     return abs(val / pair.kappa - 1.0)
@@ -178,62 +188,43 @@ def _require_constant(pair, what):
             "condition with order swapped is unproven for variable exponents")
 
 
-def _swapped_args(pair: KernelPair, s, t, what: str):
-    """Broadcast (s, t) for G and dG/dt after the exponent and domain checks."""
-    _require_constant(pair, what)
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(s < 0.0) or np.any(t < 0.0) or np.any(s + t > pair.b * (1.0 + 1e-12)):
-        raise DomainError("need s >= 0, t >= 0, s + t <= b")
-    return np.broadcast_arrays(s, t)
-
-
-def eval_G(pair: KernelPair, weight: Weight, s, t,
-           rule_n: int = DEFAULT_JACOBI_N):
+def eval_G(data: SonineData, s, t):
     """G(s,t) = w(s,s) + int_0^t (w(s,t-z+s) - w(s,s)) k(z) K(t-z) dz,
     with the singular product absorbed by the Jacobi rule."""
     scalar = np.ndim(s) == 0 and np.ndim(t) == 0
-    s, t = _swapped_args(pair, s, t, "eval_G")
-    rule = jacobi_rule(pair.alpha0, rule_n)
-    wss = np.asarray(weight(s, s))
-    acc = np.zeros(s.shape)
-    for zj, wj in zip(rule.nodes, rule.weights):
-        acc += wj * (np.asarray(weight(s, t - t * zj + s)) - wss)
-    out = wss + acc / pair.kappa
+    _require_constant(data.pair, "eval_G")
+    s, t = _check_domain(data, s, t)
+    w, rule = data.weight, data.rule
+    s2 = s.reshape(-1, 1)
+    y = t.reshape(-1, 1) * (1.0 - rule.nodes[None, :]) + s2
+    wss = np.broadcast_to(np.asarray(w(s, s), dtype=float), s.shape)
+    vals = np.broadcast_to(np.asarray(w(s2, y)), y.shape) - wss.reshape(-1, 1)
+    out = wss + (vals @ rule.weights).reshape(s.shape) / data.pair.kappa
     out = np.where(t > 0.0, out, wss)
     return float(out) if scalar else out
 
 
-def eval_G2(pair: KernelPair, weight: Weight, s, t,
-            rule_n: int = DEFAULT_JACOBI_N):
+def eval_G2(data: SonineData, s, t):
     """dG/dt = (1/kappa) int_0^1 (1-z) w_t(s, t(1-z)+s) (1-z)^(a0-1) z^(-a0) dz,
     eval_G's integral differentiated under the integral sign, on its rule."""
     scalar = np.ndim(s) == 0 and np.ndim(t) == 0
-    s, t = _swapped_args(pair, s, t, "eval_G2")
-    rule = jacobi_rule(pair.alpha0, rule_n)
-    acc = np.zeros(s.shape)
-    for zj, wj in zip(rule.nodes, rule.weights):
-        acc += wj * (1.0 - zj) * np.asarray(weight.dt(s, t - t * zj + s))
-    out = acc / pair.kappa
+    _require_constant(data.pair, "eval_G2")
+    s, t = _check_domain(data, s, t)
+    w, rule = data.weight, data.rule
+    s2 = s.reshape(-1, 1)
+    one_minus_z = 1.0 - rule.nodes[None, :]
+    vals = one_minus_z * np.asarray(w.dt(s2, t.reshape(-1, 1) * one_minus_z + s2))
+    out = np.broadcast_to(vals, (s.size, rule.n)) @ rule.weights
+    out = out.reshape(s.shape) / data.pair.kappa
     return float(out) if scalar else out
 
 
-def G_reference(pair: KernelPair, weight: Weight, s: float, t: float,
-                levels: int = 60) -> float:
+def G_reference(data: SonineData, s: float, t: float, levels: int = 60) -> float:
     """Direct quadrature of the defining order-swapped convolution."""
+    pair = data.pair
     _require_constant(pair, "G_reference")
-    if t <= 0.0:
-        return float(weight(s, s))
-    half = 0.5 * t
-
-    def left(z):  # K(z) ~ z^(a0-1)
-        return np.asarray(weight(s, z + s)) * pair.k(t - z) * pair.K(z)
-
-    def right(u):  # u = t - z, k(u) ~ u^(-a0)
-        return np.asarray(weight(s, t - u + s)) * pair.k(u) * pair.K(t - u)
-
-    return (_power_singular_quad(left, half, 1.0 - pair.alpha0, levels)
-            + _power_singular_quad(right, half, pair.alpha0, levels))
+    return _conv_reference(data.weight, s, t, pair.K, pair.k, 1.0 - pair.alpha0,
+                           levels)
 
 
 # ----------------------------------------------------------------- reports
@@ -265,95 +256,70 @@ def _condition_grid(b):
     return [(s, t) for s in ss for t in tt if s + t <= b]
 
 
+def _condition_report(name, data, failures, grid, tolerance, value, reference,
+                      derivative, levels) -> VerificationReport:
+    """The weight-condition failures found by the caller, the identity
+    residual of value against reference on the grid, and condition (b): the
+    sampled integral of |derivative(s, .)| must be finite."""
+    rep = VerificationReport(name, tolerance=tolerance, failures=failures)
+    for s, t in _condition_grid(data.b) if grid is None else grid:
+        ref = reference(data, s, t)
+        rep.points.append((s, t))
+        rep.residuals.append(abs(value(data, s, t) - ref) / max(1.0, abs(ref)))
+    if rep.residuals:
+        rep.max_residual = max(rep.residuals)
+        if rep.max_residual > tolerance:
+            rep.failures.append(f"{name} identity")
+    l1 = [graded_panel_quad(lambda t: np.abs(derivative(data, s, t)),
+                            0.0, data.b - s, "left", levels=levels)
+          for s in (0.0, 0.25 * data.b, 0.5 * data.b)]
+    if not all(np.isfinite(l1)):
+        rep.failures.append("(b)")
+    rep.passed = not rep.failures
+    return rep
+
+
 def wsc1_report(data: SonineData, grid=None,
                 tolerance: float = IDENTITY_TOL) -> VerificationReport:
     """Conditions (i)/(a), identity residual vs the raw convolution, and
     integrability evidence for g2 (condition (b))."""
-    rep = VerificationReport("WSC1", tolerance=tolerance)
+    failures = []
     if not data.weight.condition_i_ok or data.diag_min <= 1e-12:
-        rep.passed = False
-        rep.failures.append("(i)/(a)")
+        failures.append("(i)/(a)")
     if data.diag_min < 0.5 * data.weight.mu_lower:
-        rep.passed = False
-        rep.failures.append("(a)")
-    if grid is None:
-        grid = _condition_grid(data.b)
-    for s, t in grid:
-        ref = g_reference(data, s, t)
-        res = abs(eval_g(data, s, t) - ref) / max(1.0, abs(ref))
-        rep.points.append((s, t))
-        rep.residuals.append(res)
-    if rep.residuals:
-        rep.max_residual = max(rep.residuals)
-        if rep.max_residual > tolerance:
-            rep.passed = False
-            rep.failures.append("WSC1 identity")
-    # condition (b): sampled integral of |g2(s, .)|, finite or bust
-    g2_l1 = []
-    for s in (0.0, 0.25 * data.b, 0.5 * data.b):
-        val = graded_panel_quad(lambda t: np.abs(eval_g2(data, s, t)),
-                                0.0, data.b - s, "left", levels=40)
-        g2_l1.append(val)
-    if not all(np.isfinite(g2_l1)):
-        rep.passed = False
-        rep.failures.append("(b)")
-    return rep
+        failures.append("(a)")
+    return _condition_report("WSC1", data, failures, grid, tolerance,
+                             eval_g, g_reference, eval_g2, levels=40)
 
 
-def wsc2_report(pair: KernelPair, weight: Weight, grid=None,
+def wsc2_report(data: SonineData, grid=None,
                 tolerance: float = IDENTITY_TOL) -> VerificationReport:
     """Same checks for the order-swapped condition (constant exponent only)."""
-    _require_constant(pair, "wsc2_report")
-    rep = VerificationReport("WSC2", tolerance=tolerance)
-    if not weight.condition_i_ok:
-        rep.passed = False
-        rep.failures.append("(i)/(a)")
-    if grid is None:
-        grid = _condition_grid(pair.b)
-    for s, t in grid:
-        ref = G_reference(pair, weight, s, t)
-        res = abs(eval_G(pair, weight, s, t) - ref) / max(1.0, abs(ref))
-        rep.points.append((s, t))
-        rep.residuals.append(res)
-    if rep.residuals:
-        rep.max_residual = max(rep.residuals)
-        if rep.max_residual > tolerance:
-            rep.passed = False
-            rep.failures.append("WSC2 identity")
-    g2_l1 = []
-    for s in (0.0, 0.25 * pair.b, 0.5 * pair.b):
-        val = graded_panel_quad(
-            lambda t: np.abs(eval_G2(pair, weight, s, t)),
-            0.0, pair.b - s, "left", levels=30)
-        g2_l1.append(val)
-    if not all(np.isfinite(g2_l1)):
-        rep.passed = False
-        rep.failures.append("(b)")
-    return rep
+    _require_constant(data.pair, "wsc2_report")
+    failures = [] if data.weight.condition_i_ok else ["(i)/(a)"]
+    return _condition_report("WSC2", data, failures, grid, tolerance,
+                             eval_G, G_reference, eval_G2, levels=30)
 
 
 # --------------------------------------- constructive associate (WSC2 route)
 
-def associate_from_wsc2(pair: KernelPair, weight: Weight, mesh,
+def associate_from_wsc2(data: SonineData, mesh,
                         checkpoints=(0.25, 0.5, 1.0)) -> "vie.AssociateConstruction":
     """Solve u G(0,0) + int_0^t u(y) G2(0,t-y) dy = w(0,t) K(t) and report
     how well the result satisfies the classical condition for k."""
     from . import vie  # deferred: vie builds on this module
 
+    pair, weight = data.pair, data.weight
     _require_constant(pair, "associate_from_wsc2")
     G00 = float(weight(0.0, 0.0))
     if abs(G00) <= 1e-12:
         raise ValidationError("G(0,0) = w(0,0) vanishes; condition (a) fails")
 
-    def memory(y, t):
-        return eval_G2(pair, weight, 0.0, t - y)
-
-    def rhs(t):
-        return float(weight(0.0, t)) * pair.K(t)
-
     # G2(0, .) is a (1 - z)-weighted mean of w_t(0, .): zero with g2(0, .)
-    skip = g2_vanishes(pair, weight, 0.0)
-    problem = vie.SecondKindProblem(d=lambda t: G00, m=None if skip else memory, r=rhs)
+    memory = (None if g2_vanishes(pair, weight, 0.0)
+              else lambda y, t: eval_G2(data, 0.0, t - y))
+    problem = vie.SecondKindProblem(d=lambda t: G00, m=memory,
+                                    r=lambda t: float(weight(0.0, t)) * pair.K(t))
     rep = vie.solve_second_kind(problem, mesh)
     cps = np.asarray([vie.snap_to_mesh(mesh, c * pair.b) for c in checkpoints])
     res = np.asarray([vie.conv_with_k(pair, mesh, rep.u, tc) - 1.0 for tc in cps])

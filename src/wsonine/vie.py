@@ -308,26 +308,28 @@ def _K_conv_fprime(pair: KernelPair, weight: Weight, forcing: Forcing,
                    mesh: Mesh) -> np.ndarray:
     """int_0^{t_i} K(t_i - s) f'(s) ds on the mesh nodes.
 
-    When f' blows up like s^(-alpha) at zero its singular part is integrated
-    by graded quadrature at every step (piecewise-linear interpolation of a
-    power has scale-invariant relative error on the early panels, which
-    would freeze the error of the first few solution values)."""
+    A forcing's split f' = u0 w(0,s) k(s) + prime_bulk(s) is always used, so
+    f' is never evaluated at s = 0.  A singular part (u0 != 0, or an unsplit
+    f' ~ s^(-alpha)) is integrated by graded quadrature at every step:
+    piecewise-linear interpolation of a power has scale-invariant relative
+    error on the early panels, which would freeze the first errors."""
     t = mesh.points
     n = mesh.n
     beta = 1.0 - pair.alpha0
-    if not forcing.prime_singular_at_zero:
-        w = power_conv_matrix(beta, mesh, "right")
-        return w @ _values(forcing.f_prime, t) / pair.assoc_norm
-
     if forcing.has_prime_split:
         fb = np.concatenate(([0.0], _values(forcing.prime_bulk, t[1:])))
         out = power_conv_matrix(beta, mesh, "right") @ fb
-        for i in range(1, n + 1):
-            boundary = _split_singular_conv(
-                lambda s: np.asarray(weight(0.0, s)) * pair.k(s),
-                lambda x: x ** (-beta), t[i])
-            out[i] += forcing.u0 * boundary
+        if forcing.u0 != 0.0:
+            for i in range(1, n + 1):
+                boundary = _split_singular_conv(
+                    lambda s: np.asarray(weight(0.0, s)) * pair.k(s),
+                    lambda x: x ** (-beta), t[i])
+                out[i] += forcing.u0 * boundary
         return out / pair.assoc_norm
+
+    if not forcing.prime_singular_at_zero:
+        w = power_conv_matrix(beta, mesh, "right")
+        return w @ _values(forcing.f_prime, t) / pair.assoc_norm
 
     out = np.zeros(n + 1)
     for i in range(1, n + 1):

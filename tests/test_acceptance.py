@@ -77,9 +77,9 @@ def test_criterion_01_csc_identity():
     t0 = time.perf_counter()
     worst = 0.0
     for a in (0.3, 0.5, 0.7):
-        pair = KernelPair.make(str(a))
+        data = SonineData.make(KernelPair.make(str(a)), Weight.from_expr("1"))
         for t in np.arange(0.1, 1.05, 0.1):
-            worst = max(worst, csc_residual(pair, float(t), rule_n=32))
+            worst = max(worst, csc_residual(data, float(t)))
     elapsed = time.perf_counter() - t0
     check(1, worst <= 1e-12 and elapsed < 1.0,
           f"max residual {worst:.2e}, {elapsed:.2f} s")
@@ -181,12 +181,13 @@ def test_criterion_07_csc_associate_recovery():
 
 def test_criterion_08_order_swapped_condition(const_half_bilinear):
     pair, weight = const_half_bilinear
-    exact0 = all(eval_G(pair, weight, s, 0.0) == float(weight(s, s))
+    data = SonineData.make(pair, weight)
+    exact0 = all(eval_G(data, s, 0.0) == float(weight(s, s))
                  for s in (0.0, 0.3, 0.9))
     # attainable closed form: G(s,t) = 1 + s^2 + s*t/2
-    closed = max(abs(eval_G(pair, weight, s, t) - (1 + s * s + s * t / 2))
+    closed = max(abs(eval_G(data, s, t) - (1 + s * s + s * t / 2))
                  for s, t in [(0.25, 0.5), (0.5, 0.4)])
-    res = [associate_from_wsc2(pair, weight, Mesh(1.0, n, 4.0)).max_csc_residual
+    res = [associate_from_wsc2(data, Mesh(1.0, n, 4.0)).max_csc_residual
            for n in (128, 256)]
     ok = exact0 and closed <= 1e-10 and res[0] <= 1e-2 and res[1] < res[0]
     check(8, ok, f"t=0 exact, closed-form dev {closed:.2e}, "
@@ -198,7 +199,8 @@ def test_criterion_08_order_swapped_condition(const_half_bilinear):
                           "the closed-form value 1 + t/2 occurs at s = 1, not s = 0")
 def test_criterion_08_literal_G_at_s_zero(const_half_bilinear):
     pair, weight = const_half_bilinear
-    assert eval_G(pair, weight, 0.0, 0.5) == pytest.approx(1.25, abs=1e-10)
+    data = SonineData.make(pair, weight)
+    assert eval_G(data, 0.0, 0.5) == pytest.approx(1.25, abs=1e-10)
 
 
 def test_criterion_09_subdiffusion_manufactured():

@@ -112,7 +112,7 @@ class TestConfigParsing:
             RunConfig.from_text('[weight]\nw = "1"\n')
 
     @pytest.mark.parametrize("section, key", [("mesh", "grading = 9"),
-                                              ("quadrature", "levels = 1")])
+                                              ("tolerances", "levels = 1")])
     def test_unknown_key_exits_2(self, tmp_path, capsys, section, key):
         code, _ = run_cli(tmp_path, VERIFY_GOOD + f"\n[{section}]\n{key}\n",
                           "verify")
@@ -120,6 +120,15 @@ class TestConfigParsing:
         assert code == 2
         assert summary["status"] == "config-error"
         assert "unknown key" in summary["error"]
+
+    def test_removed_quadrature_section_exits_2(self, tmp_path, capsys):
+        # g, g2, G, G2 and the CSC check share one fixed rule: no size key
+        code, _ = run_cli(tmp_path, VERIFY_GOOD + "\n[quadrature]\njacobi_n = 32\n",
+                          "verify")
+        summary, _ = last_json(capsys)
+        assert code == 2
+        assert summary["status"] == "config-error"
+        assert "unknown section" in summary["error"]
 
 
 class TestVerify:
@@ -219,6 +228,41 @@ r = 4
         summary, _ = last_json(capsys)
         assert code == 4
         assert summary["status"] == "numerical-failure"
+
+    def test_manufactured_vie1_zero_start(self, tmp_path, capsys):
+        # u = t has u(0) = 0, so the manufactured f' has no singular part
+        cfg = """
+[kernel]
+alpha = "0.5 + 0.1*t"
+
+[weight]
+w = "1 + s*t"
+
+[forcing]
+manufactured = true
+exact = "t"
+
+[mesh]
+n = 64
+r = 4
+"""
+        code, _ = run_cli(tmp_path, cfg, "solve", "--kind", "vie1")
+        summary, err = last_json(capsys)
+        assert code == 0, err
+        assert summary["error"] <= 1e-3
+
+    @pytest.mark.parametrize("kind, cfg", [
+        ("ode", ODE_SQRT.replace('f = "0.88622692545275801"   # Gamma(3/2); '
+                                 'exact solution sqrt(t)', "manufactured = true")),
+        ("pde", PDE_MANUFACTURED.replace("exact =", "manufactured = true\nexact =")),
+    ], ids=["ode", "pde"])
+    def test_manufactured_rejected_outside_first_kind(self, tmp_path, capsys,
+                                                      kind, cfg):
+        code, _ = run_cli(tmp_path, cfg, "solve", "--kind", kind)
+        summary, _ = last_json(capsys)
+        assert code == 2
+        assert summary["status"] == "config-error"
+        assert "vie1 or vie1k" in summary["error"]
 
     def test_vie1k_constant_exponent_skips_memory(self, tmp_path, capsys):
         # w_t(0, t) = 0 and alpha is constant: g2(0, .) = 0, no memory term

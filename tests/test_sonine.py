@@ -49,19 +49,20 @@ def const_data(const_pair, bilinear):
 class TestCscResidual:
     def test_constant_exponents_machine_zero(self):
         for a in (0.3, 0.5, 0.7):
-            pair = KernelPair.make(str(a))
+            data = SonineData.make(KernelPair.make(str(a)), Weight.from_expr("1"))
             for t in np.arange(0.1, 1.05, 0.1):
-                assert csc_residual(pair, float(t)) <= 1e-12
+                assert csc_residual(data, float(t)) <= 1e-12
 
     def test_normalized_constant(self):
-        pair = KernelPair.make("0.5", normalized=True)
-        assert csc_residual(pair, 0.5) <= 1e-12
+        data = SonineData.make(KernelPair.make("0.5", normalized=True),
+                               Weight.from_expr("1"))
+        assert csc_residual(data, 0.5) <= 1e-12
 
-    def test_domain(self, const_pair):
+    def test_domain(self, const_data):
         with pytest.raises(DomainError):
-            csc_residual(const_pair, 0.0)
+            csc_residual(const_data, 0.0)
         with pytest.raises(DomainError):
-            csc_residual(const_pair, 2.0)
+            csc_residual(const_data, 2.0)
 
 
 class TestEvalG:
@@ -242,49 +243,98 @@ class TestG2Vanishes:
         np.testing.assert_array_equal(eval_g2(data, np.full(3, s), lams), 0.0)
 
 
-class TestEvalBigG:
-    def test_t_zero_exact(self, const_pair, bilinear):
-        for s in (0.0, 0.3, 0.9):
-            assert eval_G(const_pair, bilinear, s, 0.0) == float(bilinear(s, s))
+def looped_G(data, s, t):
+    """G and dG/dt at one point (s, t), summed node by node."""
+    w, rule = data.weight, data.rule
+    wss = float(w(s, s))
+    acc_G = acc_G2 = 0.0
+    for z, wz in zip(rule.nodes, rule.weights):
+        y = t * (1.0 - z) + s
+        acc_G += wz * (float(w(s, y)) - wss)
+        acc_G2 += wz * (1.0 - z) * float(w.dt(s, y))
+    return wss + acc_G / data.pair.kappa, acc_G2 / data.pair.kappa
 
-    def test_closed_form(self, const_pair, bilinear):
+
+class TestEvalBigG:
+    def test_t_zero_exact(self, const_data, bilinear):
+        for s in (0.0, 0.3, 0.9):
+            assert eval_G(const_data, s, 0.0) == float(bilinear(s, s))
+
+    def test_closed_form(self, const_data):
         # the order-swapped function agrees with g here: 1 + s^2 + s*t/2
         for s, t in [(0.0, 0.4), (0.25, 0.5), (0.5, 0.4)]:
-            assert eval_G(const_pair, bilinear, s, t) == pytest.approx(
+            assert eval_G(const_data, s, t) == pytest.approx(
                 1 + s * s + s * t / 2, abs=1e-10)
 
-    def test_against_reference(self, const_pair, bilinear):
-        got = eval_G(const_pair, bilinear, 0.2, 0.5)
-        ref = G_reference(const_pair, bilinear, 0.2, 0.5)
+    def test_against_reference(self, const_data):
+        got = eval_G(const_data, 0.2, 0.5)
+        ref = G_reference(const_data, 0.2, 0.5)
         assert got == pytest.approx(ref, rel=1e-6)
 
-    def test_derivative_closed_form(self, const_pair, bilinear):
+    def test_derivative_closed_form(self, const_data):
         # dG/dt = s/2 for w = 1 + s*t at alpha = 1/2
         for s, t in [(0.0, 0.4), (0.25, 0.5), (0.5, 0.5), (0.3, 0.0)]:
-            assert eval_G2(const_pair, bilinear, s, t) == pytest.approx(
-                s / 2, abs=1e-12)
+            assert eval_G2(const_data, s, t) == pytest.approx(s / 2, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", ["0.2", "0.5", "0.8"])
     def test_derivative_at_horizon(self, alpha):
         # s + t = b, where a centered difference of G would leave the domain
         pair = KernelPair.make(alpha, b=1.0)
         weight = Weight.from_expr("exp(-(t - s))", b=1.0)
+        data = SonineData.make(pair, weight)
+        ref_data = SonineData.make(pair, weight, rule_n=200)
         for s, t in [(0.0, 1.0), (0.25, 0.75), (0.6, 0.4)]:
-            got = eval_G2(pair, weight, s, t)
-            ref = eval_G2(pair, weight, s, t, rule_n=200)
+            got = eval_G2(data, s, t)
+            ref = eval_G2(ref_data, s, t)
             assert got == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
+    @pytest.mark.parametrize("weight", ["1 + s*t", "exp(-(t - s))"])
+    @pytest.mark.parametrize("alpha", ["0.05", "0.2", "0.5", "0.8", "0.95"])
+    def test_sonine_rule_matches_large_rule(self, alpha, weight):
+        """G and G2 on the 24-node rule of g agree with a 200-node rule."""
+        pair = KernelPair.make(alpha, b=1.0)
+        w = Weight.from_expr(weight, b=1.0)
+        data = SonineData.make(pair, w)
+        ref = SonineData.make(pair, w, rule_n=200)
+        ss, tt = np.meshgrid(np.linspace(0.0, 0.5, 6), np.linspace(0.0, 0.5, 6))
+        ss, tt = ss.ravel(), tt.ravel()
+        np.testing.assert_allclose(eval_G(data, ss, tt), eval_G(ref, ss, tt),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(eval_G2(data, ss, tt), eval_G2(ref, ss, tt),
+                                   rtol=0, atol=1e-13)
+
+    def test_arrays_match_node_loop(self, const_pair):
+        data = SonineData.make(const_pair, Weight.from_expr("1 + 0.5*sin(3*t)*s"))
+        ss = np.array([[0.0, 0.1], [0.3, 0.45]])
+        tt = np.array([[0.0, 0.7], [0.2, 0.55]])
+        G, G2 = eval_G(data, ss, tt), eval_G2(data, ss, tt)
+        assert G.shape == G2.shape == ss.shape
+        for idx in np.ndindex(ss.shape):
+            ref_G, ref_G2 = looped_G(data, ss[idx], tt[idx])
+            assert G[idx] == pytest.approx(ref_G, rel=1e-14, abs=1e-15)
+            assert G2[idx] == pytest.approx(ref_G2, rel=1e-14, abs=1e-15)
+        # a weight that does not depend on its arguments still broadcasts
+        one = SonineData.make(const_pair, Weight.from_expr("1"))
+        np.testing.assert_array_equal(eval_G(one, ss, tt), np.ones(ss.shape))
+        np.testing.assert_array_equal(eval_G2(one, ss, tt), np.zeros(ss.shape))
+
     def test_derivative_matches_difference_of_G(self, const_pair):
-        weight = Weight.from_expr("exp(-(t - s))", b=1.0)
+        data = SonineData.make(const_pair, Weight.from_expr("exp(-(t - s))", b=1.0))
         h = 1e-5
         for s, t in [(0.1, 0.3), (0.2, 0.6)]:
-            fd = (eval_G(const_pair, weight, s, t + h)
-                  - eval_G(const_pair, weight, s, t - h)) / (2 * h)
-            assert eval_G2(const_pair, weight, s, t) == pytest.approx(fd, rel=1e-8)
+            fd = (eval_G(data, s, t + h) - eval_G(data, s, t - h)) / (2 * h)
+            assert eval_G2(data, s, t) == pytest.approx(fd, rel=1e-8)
 
-    def test_variable_exponent_rejected(self, var_pair, bilinear):
+    def test_variable_exponent_rejected(self, var_data):
         with pytest.raises(UnsupportedConfigurationError):
-            eval_G(var_pair, bilinear, 0.1, 0.1)
+            eval_G(var_data, 0.1, 0.1)
+
+    def test_domain(self, const_data):
+        for fn in (eval_G, eval_G2):
+            with pytest.raises(DomainError):
+                fn(const_data, 0.6, 0.6)  # s + t > b
+            with pytest.raises(DomainError):
+                fn(const_data, 0.1, -0.1)
 
 
 class TestReports:
@@ -308,18 +358,18 @@ class TestReports:
         rep = wsc1_report(SonineData.make(KernelPair.make(alpha, b=1.0), bilinear))
         assert rep.passed, rep.summary()
 
-    def test_wsc2_passes(self, const_pair, bilinear):
-        rep = wsc2_report(const_pair, bilinear)
+    def test_wsc2_passes(self, const_data):
+        rep = wsc2_report(const_data)
         assert rep.passed
 
     @pytest.mark.parametrize("alpha", ["0.2", "0.8"])
     def test_wsc2_passes_far_from_one_half(self, alpha, bilinear):
-        rep = wsc2_report(KernelPair.make(alpha, b=1.0), bilinear)
+        rep = wsc2_report(SonineData.make(KernelPair.make(alpha, b=1.0), bilinear))
         assert rep.passed, rep.summary()
 
-    def test_wsc2_rejects_variable_exponent(self, var_pair, bilinear):
+    def test_wsc2_rejects_variable_exponent(self, var_data):
         with pytest.raises(UnsupportedConfigurationError):
-            wsc2_report(var_pair, bilinear)
+            wsc2_report(var_data)
 
     def test_summary_and_csv(self, var_data, tmp_path):
         rep = wsc1_report(var_data)
@@ -331,12 +381,12 @@ class TestReports:
 
 
 class TestAssociateFromWsc2:
-    def test_residual_small_and_decreasing(self, const_pair, bilinear):
-        res = [associate_from_wsc2(const_pair, bilinear, Mesh(1.0, n, 4.0))
+    def test_residual_small_and_decreasing(self, const_data):
+        res = [associate_from_wsc2(const_data, Mesh(1.0, n, 4.0))
                for n in (64, 128)]
         assert res[0].max_csc_residual <= 1e-2
         assert res[1].max_csc_residual < res[0].max_csc_residual
 
-    def test_rejects_variable_exponent(self, var_pair, bilinear):
+    def test_rejects_variable_exponent(self, var_data):
         with pytest.raises(UnsupportedConfigurationError):
-            associate_from_wsc2(var_pair, bilinear, Mesh(1.0, 32, 4.0))
+            associate_from_wsc2(var_data, Mesh(1.0, 32, 4.0))

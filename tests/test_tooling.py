@@ -1,17 +1,19 @@
 """The benchmark's span tracer patches library names from outside
 (``perfbench/spans.py``); a rename or a removed module global makes
 ``perfbench/run.py --trace 1`` fail, so the tracer is exercised here, as
-are the benchmark workloads and the scripts under ``scripts/``."""
+are the benchmark workloads and the scripts under ``scripts/``.  The
+README's config key table is checked against the parser's."""
 
 import importlib.util
 import math
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wsonine import expr, kernels, sonine, subdiffusion, vie
+from wsonine import config, expr, kernels, sonine, subdiffusion, vie
 from wsonine.kernels import KernelPair, Weight
 from wsonine.quadrature import Mesh
 
@@ -110,3 +112,15 @@ def test_scripts_run_at_small_sizes(name, argv, capsys):
     spec.loader.exec_module(script)
     assert script.main(argv) == 0
     assert capsys.readouterr().out
+
+
+README = SPANS.parent.parent / "README.md"
+
+
+def test_readme_key_table_matches_parser():
+    # rows of the form | `[section]` | `key`, `key` or `key` |
+    rows = re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", README.read_text(), re.M)
+    documented = {sec: set(re.findall(r"`(\w+)`", keys)) for sec, keys in rows}
+    assert documented, "no key table found in README.md"
+    parsed = {sec: set(keys) for sec, keys in config._KEYS.items()}
+    assert documented == parsed
