@@ -350,6 +350,34 @@ r = 4
         header = (out / "solution.csv").read_text().splitlines()[0]
         assert header == "x,t,u"
 
+    def test_pde_summary_has_timings(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, PDE_MANUFACTURED, "solve", "--kind", "pde")
+        summary, _ = last_json(capsys)
+        assert code == 0
+        assert set(summary["timings"]) == {"forcing_s", "stepping_s"}
+        assert all(v >= 0.0 for v in summary["timings"].values())
+
+    @pytest.mark.parametrize("args", [("solve",), ("converge", "--doublings", "1")])
+    def test_pde_zero_final_state_error_is_valid_json(self, tmp_path, capsys,
+                                                      args):
+        # u = t(1-t) sin(pi x) vanishes at t = b = 1: the error is absolute
+        cfg = PDE_MANUFACTURED.replace(
+            '"(1.5045055561273502*t^1.5 + 9.869604401089358*t^2)',
+            '"(1.1283791670955126*t^0.5 - 1.5045055561273502*t^1.5'
+            ' + 9.869604401089358*(t - t^2))').replace(
+            '"t^2 * sin', '"t*(1-t) * sin')
+        assert "t*(1-t)" in cfg and "t^0.5" in cfg
+        code, _ = run_cli(tmp_path, cfg, *args, "--kind", "pde")
+        line = capsys.readouterr().out.strip()
+        assert "\n" not in line
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        summary = json.loads(line, parse_constant=reject)
+        assert code == 0
+        assert 0.0 < summary["error"] <= 1e-2
+
 
 class TestConverge:
     def test_zero_doublings_single_row(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from wsonine import subdiffusion
 from wsonine.errors import NumericalError, ValidationError
 from wsonine.kernels import KernelPair, Weight, gamma
-from wsonine.quadrature import Mesh
+from wsonine.quadrature import Mesh, memory_panel_weights
+from wsonine.sonine import SonineData, eval_g2
 from wsonine.subdiffusion import (PdeConfig, PdeSolution, l1_weights,
                                   solve_subdiffusion)
 
@@ -35,6 +37,32 @@ def manufactured_config(npair, unit_weight, n, m):
     return PdeConfig(m=m, mesh=Mesh(1.0, n, 4.0), pair=npair,
                      weight=unit_weight, forcing=f, initial="0",
                      exact="t^2 * sin(3.141592653589793 * x)")
+
+
+def row_by_row_solve(cfg):
+    """Reference stepper: every history sum over all earlier rows, every
+    step a dense solve; no blocking, no fused history."""
+    data = SonineData.make(cfg.pair, cfg.weight)
+    mesh, m = cfg.mesh, cfg.m
+    t, tau, n = mesh.points, mesh.tau, mesh.n
+    h = 1.0 / (m + 1)
+    x = cfg.x
+    lap = (np.diag(np.full(m - 1, 1.0), -1) - 2.0 * np.eye(m)
+           + np.diag(np.full(m - 1, 1.0), 1)) / h ** 2
+    f = np.asarray([cfg.forcing(x, ti) for ti in t])
+    lw = l1_weights(cfg.pair.alpha0, mesh, cfg.pair.assoc_norm)
+    u = np.zeros((n + 1, m))
+    u[0] = cfg.initial(x)
+    for i in range(1, n + 1):
+        gi = float(cfg.weight(t[i], t[i]))
+        m0, m1 = memory_panel_weights(lambda y, lag: eval_g2(data, y, lag), t, i)
+        b_panels = m0 + m1
+        c = np.diff(b_panels / tau[:i], prepend=0.0)
+        rhs = u[i - 1] / tau[i - 1] + (c @ u[:i] + lap @ (lw[i, :i] @ u[:i])
+                                       + lw[i] @ f) / gi
+        shift = (1.0 + b_panels[i - 1] / gi) / tau[i - 1]
+        u[i] = np.linalg.solve(shift * np.eye(m) - lw[i, i] / gi * lap, rhs)
+    return u
 
 
 class TestL1Weights:
@@ -159,6 +187,17 @@ class TestSolver:
         both = solve_subdiffusion(combo)
         np.testing.assert_allclose(both.u, sols[0].u + sols[1].u, atol=1e-12)
 
+    @staticmethod
+    def pinned_error(alpha, w, r, n):
+        # final-time distance to t^2 sin(pi x) at M = 16
+        cfg = PdeConfig(m=16, mesh=Mesh(1.0, n, r),
+                        pair=KernelPair.make(alpha, normalized=True),
+                        weight=Weight.from_expr(w),
+                        forcing="(1.5045055561273502*t^1.5 + 9.869604401089358*t^2)"
+                                " * sin(3.141592653589793*x)",
+                        initial="0", exact="t^2 * sin(3.141592653589793*x)")
+        return solve_subdiffusion(cfg).final_l2_error(cfg.exact)
+
     @pytest.mark.parametrize("alpha, w, r, want", [
         ("0.5", "1", 1.0, 0.005497351719386538),
         ("0.5", "1", 4.0, 0.010452727838838287),
@@ -167,27 +206,93 @@ class TestSolver:
         ("0.5", "1 + s*t", 4.0, 0.08067538522603199),
         ("0.5 + 0.2*t", "1 + s*t", 4.0, 0.07399768663321306)])
     def test_errors_pinned(self, alpha, w, r, want):
-        # final-time distance to t^2 sin(pi x) (M = 16, N = 32), as computed
-        # by the broadcast history sums that the matrix-vector products replaced
-        cfg = PdeConfig(m=16, mesh=Mesh(1.0, 32, r),
-                        pair=KernelPair.make(alpha, normalized=True),
-                        weight=Weight.from_expr(w),
-                        forcing="(1.5045055561273502*t^1.5 + 9.869604401089358*t^2)"
-                                " * sin(3.141592653589793*x)",
-                        initial="0", exact="t^2 * sin(3.141592653589793*x)")
-        err = solve_subdiffusion(cfg).final_l2_error(cfg.exact)
-        assert err == pytest.approx(want, rel=1e-9)
+        # N = 32, as computed by the broadcast history sums that the
+        # matrix-vector products replaced
+        assert self.pinned_error(alpha, w, r, 32) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha, w, r, want", [
+        ("0.5", "1", 1.0, 0.0034736038439837514),
+        ("0.5", "1", 4.0, 0.0052059803202533705),
+        ("0.5", "1 + s*t", 4.0, 0.08482200307472745),
+        ("0.5 + 0.2*t", "1 + s*t", 4.0, 0.07861058685068646)])
+    def test_errors_pinned_across_blocks(self, alpha, w, r, want):
+        # N = 100 > BLOCK: the far parts of later blocks carry most of the
+        # history; pinned from the row-by-row history products
+        assert subdiffusion.BLOCK < 100
+        assert self.pinned_error(alpha, w, r, 100) == pytest.approx(want, rel=1e-9)
 
     def test_memory_skip_bit_identical(self, monkeypatch, npair, unit_weight):
         # w = 1 with a constant exponent: g2 = 0, and the memory panels are
-        # skipped without changing a bit of the solution
-        cfg = manufactured_config(npair, unit_weight, 32, 16)
-        skipped = solve_subdiffusion(cfg)
-        monkeypatch.setattr(subdiffusion, "g2_vanishes", lambda *args: False)
-        evaluated = solve_subdiffusion(cfg)
-        assert skipped.meta["memory_skipped"]
-        assert not evaluated.meta["memory_skipped"]
-        np.testing.assert_array_equal(skipped.u, evaluated.u)
+        # skipped without changing a bit of the solution, within one history
+        # block and across several
+        for n in (32, 100):
+            cfg = manufactured_config(npair, unit_weight, n, 16)
+            skipped = solve_subdiffusion(cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(subdiffusion, "g2_vanishes", lambda *args: False)
+                evaluated = solve_subdiffusion(cfg)
+            assert skipped.meta["memory_skipped"]
+            assert not evaluated.meta["memory_skipped"]
+            np.testing.assert_array_equal(skipped.u, evaluated.u)
+
+    @pytest.mark.parametrize("alpha, w", [("0.5", "1"), ("0.5", "1 + s*t"),
+                                          ("0.5 + 0.2*t", "exp(-(t - s))")])
+    def test_blocks_match_row_by_row_reference(self, alpha, w):
+        # N = 70 spans three history blocks, the last one partial
+        f = lambda x, t: (1.0 + t) * np.sin(math.pi * x) + x * (1.0 - x)
+        cfg = PdeConfig(m=9, mesh=Mesh(1.0, 70, 3.0),
+                        pair=KernelPair.make(alpha, normalized=True),
+                        weight=Weight.from_expr(w), forcing=f,
+                        initial=lambda x: np.sin(2.0 * math.pi * x))
+        got = solve_subdiffusion(cfg).u
+        want = row_by_row_solve(cfg)
+        assert float(np.max(np.abs(got - want))) <= 1e-12 * float(np.max(np.abs(want)))
+
+    def test_forcing_called_per_block(self, npair, unit_weight):
+        # a callable forcing gets x of shape (B, M) and t of shape (B, 1),
+        # B <= BLOCK, once per block of time nodes
+        calls = []
+
+        def f(x, t):
+            calls.append((np.shape(x), np.shape(t), np.array(t[:, 0])))
+            return np.sin(math.pi * x) * t
+
+        n, m = 70, 6
+        mesh = Mesh(1.0, n, 4.0)
+        cfg = PdeConfig(m=m, mesh=mesh, pair=npair, weight=unit_weight,
+                        forcing=f, initial="0")
+        got = solve_subdiffusion(cfg)
+        block = subdiffusion.BLOCK
+        assert len(calls) == -(-(n + 1) // block)
+        for xs, ts, _ in calls:
+            assert xs[1] == m and 1 <= xs[0] <= block
+            assert ts == (xs[0], 1)
+        np.testing.assert_array_equal(np.concatenate([c[2] for c in calls]),
+                                      mesh.points)
+        want = solve_subdiffusion(dataclasses.replace(
+            cfg, forcing="sin(3.141592653589793*x) * t"))
+        np.testing.assert_allclose(got.u, want.u, rtol=1e-13, atol=1e-15)
+        assert got.meta["history_block"] == block
+        assert set(got.meta["timings"]) == {"forcing_s", "stepping_s"}
+
+    def test_scalar_forcing_broadcasts(self, npair, unit_weight):
+        mesh = Mesh(1.0, 40, 4.0)
+        sols = [solve_subdiffusion(PdeConfig(m=5, mesh=mesh, pair=npair,
+                                             weight=unit_weight, forcing=f,
+                                             initial="0"))
+                for f in (lambda x, t: 2.0, "2")]
+        assert np.any(sols[0].u != 0.0)
+        np.testing.assert_array_equal(sols[0].u, sols[1].u)
+
+    def test_zero_final_state_error_is_absolute(self, npair, unit_weight):
+        # the exact state t(1-t) sin(pi x) is 0 at t = 1: no division by 0
+        cfg = PdeConfig(m=4, mesh=Mesh(1.0, 8, 4.0), pair=npair,
+                        weight=unit_weight, forcing="sin(3.141592653589793*x)",
+                        initial="0")
+        sol = solve_subdiffusion(cfg)
+        err = sol.final_l2_error("t*(1-t)*sin(3.141592653589793*x)")
+        assert err == pytest.approx(float(np.sqrt(np.mean(sol.u[-1] ** 2))),
+                                    rel=1e-15)
 
     def test_manufactured_solution_error(self, npair, unit_weight):
         errs = []

@@ -57,6 +57,10 @@ def test_tracer_installs_runs_and_uninstalls():
         var = vie.FirstKindProblem(KernelPair.make("0.5 + 0.1*t"), weight,
                                    vie.Forcing.from_expr("t"))
         vie.solve_first_kind(var, mesh)
+        # N = 40 > BLOCK: the blocked memory path of the PDE stepper
+        memory = subdiffusion.PdeConfig(4, Mesh(1.0, 40, 4.0), npair, weight,
+                                        "sin(3.141592653589793*x)", "0")
+        pde = subdiffusion.solve_subdiffusion(memory)
     finally:
         tracer.uninstall()
     assert patched_names() == before
@@ -74,6 +78,12 @@ def test_tracer_installs_runs_and_uninstalls():
     from_steppers = np.isin(callers, ["vie.step", "subdiffusion.history"])
     assert not np.any(from_steppers & (spans["rung"][g2] == 0))
     assert np.any(from_steppers & (spans["rung"][g2] == 1))
+    assert not pde.meta["memory_skipped"]
+    assert np.all(np.isfinite(pde.u))
+    pde_g2 = callers == "subdiffusion.history"
+    assert np.count_nonzero(pde_g2 & (spans["rung"][g2] == 1)) == 40
+    banded = spans["name_id"] == tracer.names.index("subdiffusion.banded")
+    assert np.count_nonzero(banded & (spans["rung"] == 1)) == 40
 
 
 WORKLOADS = SPANS.parent / "workloads.py"
