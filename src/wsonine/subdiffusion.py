@@ -18,9 +18,10 @@ The K-term acts on f and Lap u alike, so both share one history array V:
 row j holds f(t_j) and gains Lap u_j once step j is solved, and the K-term
 of step i is lw[i, :i+1] @ V[:i+1] (row i still holds f(t_i) alone).  The
 steps run in blocks of BLOCK: for a block [a, b) the far part
-lw[a:b, :a] @ V[:a] (and the memory coefficients' c[a:b, :a] @ u[:a]) is
-one matrix product before the block, and each step adds its near part
-over columns a..i.  f is evaluated once per block of time nodes.
+lw[a:b, :a] @ V[:a] is one matrix product before the block, and each step
+adds its near part over columns a..i.  The memory term, when g2 does not
+vanish, stays one row c_i @ u[:i] per step.  f is evaluated once per block
+of time nodes.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ class PdeConfig:
     mesh: Mesh
     pair: KernelPair
     weight: Weight
-    # f(x, t), called once per block of time nodes with x of shape (B, m)
-    # and t of shape (B, 1); a callable may return anything that broadcasts
-    # to (B, m), a scalar included
+    # f(x, t), called once per block of time nodes with x of shape (B, m),
+    # read-only, and t of shape (B, 1); a callable returns a scalar or a
+    # 2-D array that broadcasts to (B, m), else ValidationError
     forcing: Union[ExprAst, str, Callable]
     initial: Union[ExprAst, str, Callable]     # u0(x)
     exact: Optional[Union[ExprAst, str, Callable]] = None
@@ -120,6 +121,26 @@ def l1_weights(alpha0: float, mesh: Mesh,
     return w
 
 
+def _forcing_block(f_fn, x: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    """f at the time nodes tb for every x, shape (len(tb), len(x)): one call
+    f_fn(x of shape (B, m), t of shape (B, 1)).  A call that fails on these
+    shapes, or a result that is neither a scalar nor 2-D and broadcastable
+    to (B, m), raises ValidationError stating the contract."""
+    shape = (len(tb), len(x))
+    try:
+        val = np.asarray(f_fn(np.broadcast_to(x, shape), tb[:, None]), float)
+        if val.ndim == 1:
+            # (B,) would pass as a row when B == m
+            raise ValueError(f"got a 1-D result of shape {val.shape}")
+        return np.broadcast_to(val, shape)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            "the forcing f(x, t) is called once per block of time nodes, with "
+            "x of shape (B, m) (read-only) and t of shape (B, 1), and must "
+            "return a scalar or a 2-D array that broadcasts to (B, m); "
+            f"at B = {shape[0]}, m = {shape[1]}: {exc}") from exc
+
+
 def solve_subdiffusion(config: PdeConfig,
                        data: Optional[SonineData] = None) -> PdeSolution:
     mesh, pair, weight = config.mesh, config.pair, config.weight
@@ -155,23 +176,24 @@ def solve_subdiffusion(config: PdeConfig,
     # sum_j lw_ij (f_j + lap u_j): row j of hist is f(t_j), plus lap(u_j)
     # once u_j is known
     hist = np.empty((n + 1, m))
-    # row i of coeffs regroups the memory term by u_j (j < i)
-    coeffs = None if memory_skipped else np.zeros((n + 1, n))
-    b_last = np.zeros(n + 1)
     forcing_s = 0.0
     started = time.perf_counter()
 
     for a in range(0, n + 1, BLOCK):
         b = min(a + BLOCK, n + 1)
         clock = time.perf_counter()
-        hist[a:b] = f_fn(np.broadcast_to(x, (b - a, m)), t[a:b, None])
+        hist[a:b] = _forcing_block(f_fn, x, t[a:b])
         forcing_s += time.perf_counter() - clock
         if a == 0:
             hist[0] += lap(u[0])
-        steps = range(max(a, 1), b)
         far = lw[a:b, :a] @ hist[:a]
-        if not memory_skipped:
-            for i in steps:
+
+        for i in range(max(a, 1), b):
+            gi = gdiag[i]
+            # near part; row i of hist is still f(t_i) alone
+            acc = far[i - a] + lw[i, a:i + 1] @ hist[a:i + 1]
+            b_last = 0.0
+            if not memory_skipped:
                 m0, m1 = memory_panel_weights(
                     lambda y, lag: eval_g2(data, y, lag), t, i)
                 # B_j = int over panel j of g2(s, t_i - s) ds.  The memory
@@ -179,19 +201,11 @@ def solve_subdiffusion(config: PdeConfig,
                 # + B_{i-1} u_{i-1}/tau_{i-1} regrouped by u_j: the
                 # coefficients are differences of B_j / tau_j
                 b_panels = m0 + m1
-                coeffs[i, :i] = np.diff(b_panels / tau[:i], prepend=0.0)
-                b_last[i] = b_panels[i - 1]
-            far += coeffs[a:b, :a] @ u[:a]
-
-        for i in steps:
-            gi = gdiag[i]
-            # near part; row i of hist is still f(t_i) alone
-            acc = far[i - a] + lw[i, a:i + 1] @ hist[a:i + 1]
-            if not memory_skipped:
-                acc += coeffs[i, a:i] @ u[a:i]
+                acc += np.diff(b_panels / tau[:i], prepend=0.0) @ u[:i]
+                b_last = b_panels[i - 1]
             rhs = u[i - 1] / tau[i - 1] + acc / gi
 
-            shift = 1.0 / tau[i - 1] + b_last[i] / (gi * tau[i - 1])
+            shift = 1.0 / tau[i - 1] + b_last / (gi * tau[i - 1])
             coef = lw[i, i] / gi
             ab = np.zeros((3, m))
             ab[0, 1:] = -coef / h ** 2

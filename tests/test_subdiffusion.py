@@ -284,6 +284,20 @@ class TestSolver:
         assert np.any(sols[0].u != 0.0)
         np.testing.assert_array_equal(sols[0].u, sols[1].u)
 
+    @pytest.mark.parametrize("f", [
+        lambda x, t: math.exp(t) * np.sin(math.pi * x),    # scalar t
+        lambda x, t: 1.0 if t > 0.5 else 0.0,              # scalar t
+        lambda x, t: x.__setitem__(Ellipsis, 0.0),         # writes to x
+        lambda x, t: np.ones(x.shape[0]),                  # 1-D, B == m
+        lambda x, t: np.ones((2, 3, 4))])                  # no broadcast
+    def test_forcing_outside_block_contract_is_validation_error(
+            self, npair, unit_weight, f):
+        # m = BLOCK, so a (B,) result would broadcast as a row unchecked
+        cfg = PdeConfig(m=subdiffusion.BLOCK, mesh=Mesh(1.0, 40, 4.0),
+                        pair=npair, weight=unit_weight, forcing=f, initial="0")
+        with pytest.raises(ValidationError, match=r"t of shape \(B, 1\)"):
+            solve_subdiffusion(cfg)
+
     def test_zero_final_state_error_is_absolute(self, npair, unit_weight):
         # the exact state t(1-t) sin(pi x) is 0 at t = 1: no division by 0
         cfg = PdeConfig(m=4, mesh=Mesh(1.0, 8, 4.0), pair=npair,

@@ -57,7 +57,7 @@ def test_tracer_installs_runs_and_uninstalls():
         var = vie.FirstKindProblem(KernelPair.make("0.5 + 0.1*t"), weight,
                                    vie.Forcing.from_expr("t"))
         vie.solve_first_kind(var, mesh)
-        # N = 40 > BLOCK: the blocked memory path of the PDE stepper
+        # N = 40 > BLOCK: the memory term of the PDE stepper across blocks
         memory = subdiffusion.PdeConfig(4, Mesh(1.0, 40, 4.0), npair, weight,
                                         "sin(3.141592653589793*x)", "0")
         pde = subdiffusion.solve_subdiffusion(memory)
