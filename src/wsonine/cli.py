@@ -176,9 +176,8 @@ def cmd_solve(cfg: RunConfig, kind: str, out_dir: str) -> int:
     _note(f"solve kind={kind} N={mesh.n} done; outputs in {out_dir}")
     summary = {"command": "solve", "status": "ok", "kind": kind,
                "jacobi_nodes": rep.meta["jacobi_nodes"],
-               "memory_skipped": rep.meta["memory_skipped"]}
-    if kind == "pde":
-        summary["timings"] = rep.meta["timings"]
+               "memory_skipped": rep.meta["memory_skipped"],
+               "timings": rep.meta["timings"]}
     if max_res is not None:
         summary["max_residual"] = max_res
     if err is not None:

@@ -8,7 +8,8 @@ Four tools, all serving integrals whose singular factor is known a priori:
 * closed-form product-integration weights for convolving a piecewise-linear
   interpolant with a pure power |t* - s|^(-beta);
 * composite Gauss-Legendre on geometrically graded panels for integrands
-  with a log or power (< 1) singularity at one end;
+  with a log or power (< 1) singularity at one end, one interval at a time
+  or batched over the upper ends of [0, e];
 * the steppers' memory quadrature, hat-function weights per panel built
   from the last two.
 """
@@ -29,6 +30,8 @@ DEFAULT_PANEL_NODES = 16
 # graded rule on the newest memory panel of the steppers, in the lag variable
 MEMORY_PANEL_LEVELS = 30
 MEMORY_PANEL_NODES = 8
+# points per integrand call of graded_rows
+GRADED_ROWS_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -249,13 +252,42 @@ def graded_nodes(a: float, b: float, singular_end: str = "left",
 def lag_rule(tau: float):
     """graded_nodes(0, tau, "left") at the memory-panel size, scaled from
     one unit rule built once."""
-    x, w = _unit_lag_rule()
+    x, w = _unit_rule(MEMORY_PANEL_LEVELS, MEMORY_PANEL_NODES)
     return tau * x, tau * w
 
 
-@lru_cache(maxsize=1)
-def _unit_lag_rule():
-    return graded_nodes(0.0, 1.0, "left", MEMORY_PANEL_LEVELS, MEMORY_PANEL_NODES)
+@lru_cache(maxsize=8)
+def _unit_rule(levels: int, nodes_per_panel: int):
+    """graded_nodes(0, 1, "left"): every rule on [0, e] with its singular
+    end at 0 is e times this one."""
+    return graded_nodes(0.0, 1.0, "left", levels, nodes_per_panel)
+
+
+def graded_rows(fn, ends, levels: int = DEFAULT_PANEL_LEVELS,
+                nodes_per_panel: int = DEFAULT_PANEL_NODES) -> np.ndarray:
+    """int_0^e fn(z, e) dz for every e > 0 in ends, singular end at 0: the
+    batched form of graded_panel_quad(lambda z: fn(z, e), 0, e, "left").
+
+    fn gets z of shape (B, P), row b being e_b times the unit rule, and e of
+    shape (B, 1); its result broadcasts to (B, P).  Rows go to fn in chunks
+    of about GRADED_ROWS_POINTS points and each row is reduced on its own,
+    so a row's value does not depend on the rows batched with it.
+    """
+    ends = np.asarray(ends, dtype=float).ravel()
+    if not np.all(ends > 0.0):
+        raise ValidationError("graded_rows needs upper ends e > 0")
+    x, w = _unit_rule(levels, nodes_per_panel)
+    rows = max(1, GRADED_ROWS_POINTS // x.size)
+    out = np.empty(ends.size)
+    for a in range(0, ends.size, rows):
+        e = ends[a : a + rows, None]
+        z = e * x
+        vals = np.broadcast_to(np.asarray(fn(z, e), dtype=float), z.shape)
+        if not np.all(np.isfinite(vals)):
+            bad = z[~np.isfinite(vals)][0]
+            raise NumericalError(f"non-finite integrand value at {bad!r}")
+        out[a : a + rows] = np.sum(vals * w, axis=1) * ends[a : a + rows]
+    return out
 
 
 def memory_panel_weights(m, t: np.ndarray, i: int):

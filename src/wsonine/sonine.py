@@ -168,15 +168,16 @@ def g_reference(data: SonineData, s: float, t: float, levels: int = 60) -> float
     return _conv_reference(data.weight, s, t, pair.k, pair.K, pair.alpha0, levels)
 
 
-def csc_residual(data: SonineData, t: float) -> float:
-    """|int_0^t K(t-s) k(s) ds - 1|, the substituted integral of g with
-    w = 1, on the rule of data."""
-    pair, rule = data.pair, data.rule
+def csc_residual(data: SonineData, t: float, levels: int = 60) -> float:
+    """|int_0^t K(t-s) k(s) ds - 1| by the graded reference with w = 1, so
+    the check exercises k and K themselves (on the Jacobi rule, a constant
+    exponent reduces it to the rule's mass against kappa)."""
+    pair = data.pair
     if not 0.0 < t <= pair.b:
         raise DomainError(f"t must lie in (0, {pair.b}]")
-    x = t * rule.nodes
-    val = np.dot(rule.weights, pair.smooth_factor(x) * pair.gamma_ratio(x))
-    return abs(val / pair.kappa - 1.0)
+    val = _conv_reference(lambda s, y: 1.0, 0.0, t, pair.k, pair.K,
+                          pair.alpha0, levels)
+    return abs(val - 1.0)
 
 
 # -------------------------------------------------------------- WSC2 side

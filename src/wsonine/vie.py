@@ -13,6 +13,7 @@ convolution with f'), never by numerical differentiation.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -22,18 +23,23 @@ from .csvfile import write_csv
 from .errors import DomainError, NumericalError, ValidationError
 from .expr import ExprAst, as_function, diff_expr, parse_expr
 from .kernels import KernelPair, Weight
-from .quadrature import (Mesh, graded_panel_quad, memory_panel_weights,
-                         power_conv_matrix, power_conv_weights)
+# graded_panel_quad stays bound here: the benchmark's span tracer patches it
+from .quadrature import (Mesh, graded_panel_quad, graded_rows,  # noqa: F401
+                         memory_panel_weights, power_conv_matrix,
+                         power_conv_weights)
 from .sonine import SonineData, eval_g2, g2_vanishes, wsc1_report
+
+# rows of the lag matrix transform_first_kind_K evaluates psi on at once
+PSI_BLOCK = 32
 
 
 # ------------------------------------------------------------------ types
 
 @dataclass
 class Forcing:
-    """f with its derivative, both evaluated on arrays of points; f' may
-    blow up like t^(-alpha) at zero when the forcing comes from a
-    manufactured-solution oracle.
+    """f with its derivative, both evaluated on arrays of points of any
+    shape (the transforms pass 2-D blocks); f' may blow up like t^(-alpha)
+    at zero when the forcing comes from a manufactured-solution oracle.
 
     When f comes from a weighted convolution of a known solution u, the
     derivative splits as f'(s) = u0 * w(0,s) k(s) + prime_bulk(s) with a
@@ -75,27 +81,27 @@ def manufactured_forcing(pair: KernelPair, weight: Weight, u,
     up_fn = as_function(diff_expr(u_ast, "t"))
     u0 = float(u_ast.eval({"t": 0.0}))
 
-    def pointwise(integral):
-        """One graded quadrature per point; zero at t <= 0."""
+    def oracle(integrand):
+        """int_0^t integrand(z, t) dz at every t > 0 in one batched graded
+        quadrature, 0 at t <= 0; a float for a scalar t."""
         def fn(t):
-            vals = [integral(float(v)) if v > 0.0 else 0.0 for v in np.ravel(t)]
-            return np.reshape(vals, np.shape(t)) if np.ndim(t) else vals[0]
+            t = np.asarray(t, dtype=float)
+            out = np.zeros(t.shape)
+            pos = t > 0.0
+            out[pos] = graded_rows(integrand, t[pos], levels)
+            return float(out) if out.ndim == 0 else out
         return fn
 
-    @pointwise
-    def f(t):
-        return graded_panel_quad(
-            lambda z: np.asarray(weight(t - z, t)) * pair.k(z) * np.asarray(u_fn(t - z)),
-            0.0, t, "left", levels=levels)
+    @oracle
+    def f(z, t):
+        return np.asarray(weight(t - z, t)) * pair.k(z) * np.asarray(u_fn(t - z))
 
-    @pointwise
-    def prime_bulk(t):
-        return graded_panel_quad(
-            lambda z: pair.k(z) * (
-                (np.asarray(weight.ds(t - z, t)) + np.asarray(weight.dt(t - z, t)))
-                * np.asarray(u_fn(t - z))
-                + np.asarray(weight(t - z, t)) * np.asarray(up_fn(t - z))),
-            0.0, t, "left", levels=levels)
+    @oracle
+    def prime_bulk(z, t):
+        return pair.k(z) * (
+            (np.asarray(weight.ds(t - z, t)) + np.asarray(weight.dt(t - z, t)))
+            * np.asarray(u_fn(t - z))
+            + np.asarray(weight(t - z, t)) * np.asarray(up_fn(t - z)))
 
     def f_prime(t):
         if np.any(np.asarray(t) <= 0.0):
@@ -288,20 +294,22 @@ def _values(fn, x):
     return np.broadcast_to(np.asarray(fn(x), dtype=float), np.shape(x))
 
 
-def _split_singular_conv(left_factor, right_lag_factor, ti: float,
-                         levels: int = 40) -> float:
-    """int_0^{t_i} left_factor(s) right_lag_factor(t_i - s) ds where both
-    factors have an integrable singularity at zero argument; split at the
-    midpoint and integrate each half in the variable that puts its
-    singularity at zero (never reconstructing a tiny lag by subtraction)."""
-    h = 0.5 * ti
-    left = graded_panel_quad(
-        lambda s: np.asarray(left_factor(s)) * np.asarray(right_lag_factor(ti - s)),
-        0.0, h, "left", levels=levels)
-    right = graded_panel_quad(
-        lambda x: np.asarray(left_factor(ti - x)) * np.asarray(right_lag_factor(x)),
-        0.0, ti - h, "left", levels=levels)
-    return left + right
+def _split_singular_conv(left_factor, right_lag_factor, t: np.ndarray,
+                         levels: int = 40) -> np.ndarray:
+    """int_0^{t_i} left_factor(s) right_lag_factor(t_i - s) ds for every
+    t_i > 0 in t, where both factors have an integrable singularity at zero
+    argument; split at the midpoint h = t_i/2 and integrate each half in the
+    variable that puts its singularity at zero (never reconstructing a tiny
+    lag by subtraction).  Both halves are one batched graded quadrature over
+    [0, h]; t_i = 2h exactly."""
+    def left(s, h):
+        return np.asarray(left_factor(s)) * np.asarray(right_lag_factor(2.0 * h - s))
+
+    def right(x, h):
+        return np.asarray(left_factor(2.0 * h - x)) * np.asarray(right_lag_factor(x))
+
+    half = 0.5 * np.asarray(t, dtype=float)
+    return graded_rows(left, half, levels) + graded_rows(right, half, levels)
 
 
 def _K_conv_fprime(pair: KernelPair, weight: Weight, forcing: Forcing,
@@ -320,11 +328,9 @@ def _K_conv_fprime(pair: KernelPair, weight: Weight, forcing: Forcing,
         fb = np.concatenate(([0.0], _values(forcing.prime_bulk, t[1:])))
         out = power_conv_matrix(beta, mesh, "right") @ fb
         if forcing.u0 != 0.0:
-            for i in range(1, n + 1):
-                boundary = _split_singular_conv(
-                    lambda s: np.asarray(weight(0.0, s)) * pair.k(s),
-                    lambda x: x ** (-beta), t[i])
-                out[i] += forcing.u0 * boundary
+            out[1:] += forcing.u0 * _split_singular_conv(
+                lambda s: np.asarray(weight(0.0, s)) * pair.k(s),
+                lambda x: x ** (-beta), t[1:])
         return out / pair.assoc_norm
 
     if not forcing.prime_singular_at_zero:
@@ -332,9 +338,8 @@ def _K_conv_fprime(pair: KernelPair, weight: Weight, forcing: Forcing,
         return w @ _values(forcing.f_prime, t) / pair.assoc_norm
 
     out = np.zeros(n + 1)
-    for i in range(1, n + 1):
-        out[i] = _split_singular_conv(forcing.f_prime, lambda x: x ** (-beta),
-                                      t[i]) / pair.assoc_norm
+    out[1:] = _split_singular_conv(forcing.f_prime, lambda x: x ** (-beta),
+                                   t[1:]) / pair.assoc_norm
     return out
 
 
@@ -400,17 +405,20 @@ def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
     if forcing.prime_singular_at_zero:
         # s^(-a0) psi(s) at the left end, f'(t_i - s) blowing up at the
         # right end: split graded quadrature, lag variable on the right
-        for i in range(1, n + 1):
-            r[i] = _split_singular_conv(
-                lambda s: s ** (-pair.alpha0) * psi_fn(s), forcing.f_prime, t[i])
+        r[1:] = _split_singular_conv(
+            lambda s: s ** (-pair.alpha0) * psi_fn(s), forcing.f_prime, t[1:])
     else:
         # s -> t_i - s puts the power at the right end and f' on the graded
         # mesh itself, where any weak singularity of f' at zero is resolved;
-        # psi is smooth, so evaluating it at the lags costs no accuracy
+        # psi is smooth, so evaluating it at the lags costs no accuracy.
+        # Rows a..b-1 take psi on one block of lags t_i - t_j; the lags
+        # j > i are clipped to 0, where w is 0
         w = power_conv_matrix(pair.alpha0, mesh, "right")
         fp = _values(forcing.f_prime, t)
-        for i in range(1, n + 1):
-            r[i] = w[i, : i + 1] @ (psi_fn(t[i] - t[: i + 1]) * fp[: i + 1])
+        for a in range(1, n + 1, PSI_BLOCK):
+            b = min(a + PSI_BLOCK, n + 1)
+            lag = np.maximum(t[a:b, None] - t[None, :b], 0.0)
+            r[a:b] = (w[a:b, :b] * psi_fn(lag)) @ fp[:b]
     r[1:] += forcing.f0 * weight(0.0, t[1:]) * pair.k(t[1:])
 
     g00 = float(weight(0.0, 0.0))
@@ -423,6 +431,19 @@ def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
 
 # --------------------------------------------------------------- solvers
 
+def _solve_timed(build, mesh: Mesh, data: SonineData) -> SolveReport:
+    """Step the second-kind problem build() returns; meta gets the rule size
+    and the timings rhs_s (WSC1 gate and right-hand side) and stepping_s."""
+    started = time.perf_counter()
+    problem = build()
+    built = time.perf_counter()
+    rep = solve_second_kind(problem, mesh)
+    rep.meta["jacobi_nodes"] = data.rule.n
+    rep.meta["timings"] = {"rhs_s": built - started,
+                           "stepping_s": time.perf_counter() - built}
+    return rep
+
+
 def solve_first_kind(problem: FirstKindProblem, mesh: Mesh,
                      data: Optional[SonineData] = None) -> SolveReport:
     """Solve the first-kind equation through its second-kind form."""
@@ -430,9 +451,7 @@ def solve_first_kind(problem: FirstKindProblem, mesh: Mesh,
         data = SonineData.make(problem.pair, problem.weight)
     transform = (transform_first_kind_weighted
                  if problem.variant == "weighted-k" else transform_first_kind_K)
-    rep = solve_second_kind(transform(problem, data, mesh), mesh)
-    rep.meta["jacobi_nodes"] = data.rule.n
-    return rep
+    return _solve_timed(lambda: transform(problem, data, mesh), mesh, data)
 
 
 def solve_nonlocal_ode(problem: NonlocalOdeProblem, mesh: Mesh,
@@ -443,17 +462,17 @@ def solve_nonlocal_ode(problem: NonlocalOdeProblem, mesh: Mesh,
             "a graded mesh (r > 1) is required")
     if data is None:
         data = SonineData.make(problem.pair, problem.weight)
-    require_wsc1(data)
-    pair, weight = problem.pair, problem.weight
-    r = rhs_K_conv(pair, problem.forcing, problem.c, mesh)
-    skp = SecondKindProblem(
-        d=lambda tt: float(weight(tt, tt)),
-        m=_memory(data),
-        r=r,
-        u0=None)
-    rep = solve_second_kind(skp, mesh)
-    rep.meta["jacobi_nodes"] = data.rule.n
-    return rep
+    weight = problem.weight
+
+    def build():
+        require_wsc1(data)
+        return SecondKindProblem(
+            d=lambda tt: float(weight(tt, tt)),
+            m=_memory(data),
+            r=rhs_K_conv(problem.pair, problem.forcing, problem.c, mesh),
+            u0=None)
+
+    return _solve_timed(build, mesh, data)
 
 
 # --------------------------------------------------------------- residuals

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from wsonine.cli import main
+from wsonine.kernels import KernelPair
 from wsonine.config import RunConfig, parse_sections
 from wsonine.errors import ConfigError
 from wsonine.sonine import SONINE_JACOBI_N
@@ -30,6 +31,40 @@ alpha = "0.5"
 
 [weight]
 w = "1 + s*t"
+"""
+
+# first kind in k, u = 1 + t, forcing from the manufactured oracle
+VIE1_MANUFACTURED = """
+[kernel]
+alpha = "0.5"
+
+[weight]
+w = "1 + s*t"
+
+[forcing]
+manufactured = true
+exact = "1 + t"
+
+[mesh]
+n = 64
+r = 4
+"""
+
+# first kind in K, u = t: f = t^1.5 / (a0 (a0 + 1) kappa(a0)) at a0 = 1/2
+VIE1K_CONST = """
+[kernel]
+alpha = "0.5"
+
+[weight]
+w = "1 + s*t"
+
+[forcing]
+f = "0.42441318157838759*t^1.5"
+exact = "t"
+
+[mesh]
+n = 16
+r = 4
 """
 
 PDE_MANUFACTURED = """
@@ -169,6 +204,20 @@ class TestVerify:
         assert any("(i)" in f for f in summary["failures"])
         assert summary["checks"]["wsc1"] == "fail"
 
+    def test_associate_off_by_a_factor_fails_csc(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # int_0^t K(t-s) k(s) ds = 1.001 with this K: the CSC check must see
+        # k and K themselves, not only the quadrature rule's mass
+        exact_K = KernelPair.K
+        monkeypatch.setattr(KernelPair, "K", lambda self, t: 1.001 * exact_K(self, t))
+        code, out = run_cli(tmp_path, VERIFY_GOOD, "verify")
+        summary, err = last_json(capsys)
+        assert code == 3
+        assert summary["checks"]["csc"] == "fail"
+        assert "csc" in summary["failures"]
+        rows = (out / "csc.csv").read_text().splitlines()[1:]
+        assert all(float(row.split(",")[1]) > 1e-8 for row in rows)
+
     def test_syntax_error_exits_2(self, tmp_path, capsys):
         cfg = VERIFY_GOOD.replace('"1 + s*t"', '"1 + s*"')
         code, _ = run_cli(tmp_path, cfg, "verify")
@@ -266,22 +315,7 @@ r = 4
 
     def test_vie1k_constant_exponent_skips_memory(self, tmp_path, capsys):
         # w_t(0, t) = 0 and alpha is constant: g2(0, .) = 0, no memory term
-        cfg = """
-[kernel]
-alpha = "0.5"
-
-[weight]
-w = "1 + s*t"
-
-[forcing]
-f = "0.42441318157838759*t^1.5"
-exact = "t"
-
-[mesh]
-n = 16
-r = 4
-"""
-        code, _ = run_cli(tmp_path, cfg, "solve", "--kind", "vie1k")
+        code, _ = run_cli(tmp_path, VIE1K_CONST, "solve", "--kind", "vie1k")
         summary, _ = last_json(capsys)
         assert code == 0
         assert summary["memory_skipped"] is True
@@ -318,22 +352,7 @@ r = 4
         capsys.readouterr()
 
     def test_manufactured_first_kind(self, tmp_path, capsys):
-        cfg = """
-[kernel]
-alpha = "0.5"
-
-[weight]
-w = "1 + s*t"
-
-[forcing]
-manufactured = true
-exact = "1 + t"
-
-[mesh]
-n = 64
-r = 4
-"""
-        code, out = run_cli(tmp_path, cfg, "solve", "--kind", "vie1")
+        code, out = run_cli(tmp_path, VIE1_MANUFACTURED, "solve", "--kind", "vie1")
         summary, _ = last_json(capsys)
         assert code == 0
         assert summary["error"] <= 1e-2
@@ -355,6 +374,18 @@ r = 4
         summary, _ = last_json(capsys)
         assert code == 0
         assert set(summary["timings"]) == {"forcing_s", "stepping_s"}
+        assert all(v >= 0.0 for v in summary["timings"].values())
+
+    @pytest.mark.parametrize("kind, cfg", [
+        ("vie1", VIE1_MANUFACTURED),
+        ("vie1k", VIE1K_CONST),
+        ("ode", ODE_SQRT),
+    ], ids=["vie1", "vie1k", "ode"])
+    def test_volterra_summary_has_timings(self, tmp_path, capsys, kind, cfg):
+        code, _ = run_cli(tmp_path, cfg, "solve", "--kind", kind)
+        summary, err = last_json(capsys)
+        assert code == 0, err
+        assert set(summary["timings"]) == {"rhs_s", "stepping_s"}
         assert all(v >= 0.0 for v in summary["timings"].values())
 
     @pytest.mark.parametrize("args", [("solve",), ("converge", "--doublings", "1")])

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from scipy.special import digamma
 
 from wsonine.errors import NumericalError, ValidationError
-from wsonine.quadrature import (MEMORY_PANEL_LEVELS, MEMORY_PANEL_NODES, Mesh,
-                                default_grading, graded_nodes,
-                                graded_panel_quad, jacobi_rule, lag_rule,
+from wsonine.quadrature import (GRADED_ROWS_POINTS, MEMORY_PANEL_LEVELS,
+                                MEMORY_PANEL_NODES, Mesh, default_grading,
+                                graded_nodes, graded_panel_quad, graded_rows,
+                                jacobi_rule, lag_rule,
                                 memory_panel_weights, power_conv_matrix,
                                 power_conv_weights, power_moment)
 from wsonine.sonine import SONINE_JACOBI_N, SONINE_JACOBI_POWER
@@ -271,3 +272,54 @@ class TestGradedPanelQuad:
     def test_empty_interval_rejected(self):
         with pytest.raises(ValidationError):
             graded_panel_quad(np.sin, 1.0, 1.0, "left")
+
+
+# integrands of (z, e) for graded_rows: one of full shape (B, P) with a
+# z^(-1/2) singularity, one of shape (B, 1) that depends on e alone
+ROW_INTEGRANDS = {
+    "full": lambda z, e: z ** -0.5 * np.exp(-z * e) * (2.0 + np.cos(e - z)),
+    "row": lambda z, e: np.exp(-e) * (1.0 + e),
+}
+
+
+class TestGradedRows:
+    @settings(max_examples=40, deadline=None)
+    @given(ends=st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=30),
+           levels=st.sampled_from([40, 60]),
+           shape=st.sampled_from(sorted(ROW_INTEGRANDS)))
+    def test_matches_per_node_quad_and_batching(self, ends, levels, shape):
+        fn = ROW_INTEGRANDS[shape]
+        got = graded_rows(fn, ends, levels)
+        assert got.shape == (len(ends),)
+        for k, e in enumerate(ends):
+            want = graded_panel_quad(lambda z: fn(z, e), 0.0, e, "left",
+                                     levels=levels)
+            assert got[k] == pytest.approx(want, rel=1e-14, abs=0.0)
+            # a row's value does not depend on the rows batched with it
+            assert graded_rows(fn, [e], levels)[0] == got[k]
+
+    def test_batches_span_several_calls(self):
+        calls = []
+
+        def fn(z, e):
+            calls.append(z.shape)
+            return np.ones_like(z)
+
+        ends = np.linspace(0.1, 1.0, 40)
+        np.testing.assert_allclose(graded_rows(fn, ends), ends, rtol=1e-14)
+        assert len(calls) > 1
+        assert all(b * p <= GRADED_ROWS_POINTS for b, p in calls)
+        assert sum(b for b, _ in calls) == len(ends)
+
+    def test_exact_on_inverse_sqrt(self):
+        got = graded_rows(lambda z, e: z ** -0.5, [0.25, 1.0, 4.0], levels=60)
+        np.testing.assert_allclose(got, [1.0, 2.0, 4.0], rtol=1e-8)
+
+    def test_nonfinite_integrand_rejected(self):
+        fn = lambda z, e: np.where((e > 0.5) & (z > 0.5 * e), np.inf, 1.0)
+        with pytest.raises(NumericalError, match="non-finite"):
+            graded_rows(fn, [0.25, 0.75])
+
+    def test_ends_must_be_positive(self):
+        with pytest.raises(ValidationError):
+            graded_rows(lambda z, e: z, [0.5, 0.0])

@@ -57,6 +57,11 @@ def test_tracer_installs_runs_and_uninstalls():
         var = vie.FirstKindProblem(KernelPair.make("0.5 + 0.1*t"), weight,
                                    vie.Forcing.from_expr("t"))
         vie.solve_first_kind(var, mesh)
+        # u(0) != 0 through the timed manufactured oracle: the vie1-var path
+        oracle = vie.manufactured_forcing(var.pair, weight, "1 + t")
+        tracer.wrap_oracle(oracle)
+        vie.solve_first_kind(vie.FirstKindProblem(var.pair, weight, oracle),
+                             Mesh(1.0, 40, 4.0))
         # N = 40 > BLOCK: the memory term of the PDE stepper across blocks
         memory = subdiffusion.PdeConfig(4, Mesh(1.0, 40, 4.0), npair, weight,
                                         "sin(3.141592653589793*x)", "0")
@@ -65,7 +70,7 @@ def test_tracer_installs_runs_and_uninstalls():
         tracer.uninstall()
     assert patched_names() == before
     totals = tracer.totals(in_rungs=True)
-    for name in ("expr.eval", "vie.rhs", "vie.step", "vie.residual",
+    for name in ("expr.eval", "vie.oracle", "vie.rhs", "vie.step", "vie.residual",
                  "quadrature.power_conv_weights", "sonine.eval_g2",
                  "subdiffusion.history", "subdiffusion.l1_weights",
                  "subdiffusion.banded"):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wsonine import vie
 from wsonine.errors import DomainError, NumericalError, ValidationError
 from wsonine.kernels import KernelPair, Weight
-from wsonine.quadrature import Mesh
+from wsonine.quadrature import Mesh, graded_panel_quad, power_conv_matrix
 from wsonine.sonine import SonineData
 from wsonine.vie import (FirstKindProblem, Forcing, NonlocalOdeProblem,
                          SecondKindProblem, construct_csc_associate,
@@ -16,8 +16,8 @@ from wsonine.vie import (FirstKindProblem, Forcing, NonlocalOdeProblem,
                          observed_orders, refinement_study,
                          residual_first_kind, rhs_K_conv, snap_to_mesh,
                          solve_first_kind, solve_nonlocal_ode,
-                         solve_second_kind, transform_first_kind_weighted,
-                         weighted_l1_error)
+                         solve_second_kind, transform_first_kind_K,
+                         transform_first_kind_weighted, weighted_l1_error)
 
 GAMMA_3_2 = math.gamma(1.5)
 
@@ -268,6 +268,96 @@ class TestFirstKind:
         prob = FirstKindProblem(const_pair, bad, Forcing.from_expr("t"))
         with pytest.raises(ValidationError):
             solve_first_kind(prob, Mesh(1.0, 8, 4.0))
+
+
+def split_conv_reference(left_factor, right_lag_factor, ti, levels=40):
+    """int_0^ti left(s) right(ti - s) ds as two graded quadratures split at
+    ti/2, one interval at a time."""
+    h = 0.5 * ti
+    left = graded_panel_quad(
+        lambda s: np.asarray(left_factor(s)) * np.asarray(right_lag_factor(ti - s)),
+        0.0, h, "left", levels=levels)
+    right = graded_panel_quad(
+        lambda x: np.asarray(left_factor(ti - x)) * np.asarray(right_lag_factor(x)),
+        0.0, ti - h, "left", levels=levels)
+    return left + right
+
+
+def k_kernel_rhs_reference(problem, mesh):
+    """r[1:] of transform_first_kind_K assembled one mesh node at a time:
+    psi on row i's lags, or a split quadrature for a singular f'."""
+    pair, weight, forcing = problem.pair, problem.weight, problem.forcing
+    t = mesh.points
+    psi = lambda s: (np.asarray(weight(np.zeros_like(np.asarray(s, float)), s))
+                     * np.asarray(pair.k_smooth_part(s)))
+    r = np.zeros(mesh.n + 1)
+    w = power_conv_matrix(pair.alpha0, mesh, "right")
+    for i in range(1, mesh.n + 1):
+        if forcing.prime_singular_at_zero:
+            r[i] = split_conv_reference(lambda s: s ** (-pair.alpha0) * psi(s),
+                                        forcing.f_prime, t[i])
+        else:
+            fp = np.broadcast_to(np.asarray(forcing.f_prime(t[: i + 1]), float),
+                                 (i + 1,))
+            r[i] = w[i, : i + 1] @ (psi(t[i] - t[: i + 1]) * fp)
+    r[1:] += forcing.f0 * weight(0.0, t[1:]) * pair.k(t[1:])
+    return r[1:]
+
+
+def weighted_rhs_reference(problem, mesh):
+    """r[1:] of transform_first_kind_weighted with the singular parts of f'
+    integrated one mesh node at a time."""
+    pair, weight, forcing = problem.pair, problem.weight, problem.forcing
+    t = mesh.points
+    beta = 1.0 - pair.alpha0
+    lag_power = lambda x: x ** (-beta)
+    conv = np.zeros(mesh.n + 1)
+    if forcing.has_prime_split:
+        fb = np.concatenate(([0.0], forcing.prime_bulk(t[1:])))
+        conv = power_conv_matrix(beta, mesh, "right") @ fb
+    for i in range(1, mesh.n + 1):
+        if forcing.has_prime_split:
+            conv[i] += forcing.u0 * split_conv_reference(
+                lambda s: np.asarray(weight(0.0, s)) * pair.k(s), lag_power, t[i])
+        else:
+            conv[i] = split_conv_reference(forcing.f_prime, lag_power, t[i])
+    return forcing.f0 * pair.K(t[1:]) + conv[1:] / pair.assoc_norm
+
+
+# f = 1 + sqrt(t): f' = t^(-1/2) / 2 blows up at zero and has no split
+SQRT_FORCING = Forcing(lambda t: 1.0 + np.sqrt(t), lambda t: 0.5 / np.sqrt(t), 1.0,
+                       prime_singular_at_zero=True)
+
+
+class TestRightHandSides:
+    """The batched right-hand sides equal a per-node assembly; N = 70 spans
+    three PSI_BLOCK row blocks."""
+
+    MESH = Mesh(1.0, 70, 4.0)
+
+    @pytest.mark.parametrize("alpha, forcing", [
+        ("0.5", Forcing.from_expr("0.4244131815783876*t^1.5")),
+        ("0.5 + 0.1*t", Forcing.from_expr("t + t^2")),
+        ("0.5", SQRT_FORCING),
+        ("0.5 + 0.1*t", SQRT_FORCING),
+    ], ids=["const", "variable", "singular-const", "singular-variable"])
+    def test_k_kernel_matches_per_row_reference(self, bilinear, alpha, forcing):
+        pair = KernelPair.make(alpha)
+        prob = FirstKindProblem(pair, bilinear, forcing, variant="K-kernel")
+        got = transform_first_kind_K(prob, SonineData.make(pair, bilinear), self.MESH).r
+        np.testing.assert_allclose(got[1:], k_kernel_rhs_reference(prob, self.MESH),
+                                   rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("split", [True, False], ids=["u0-boundary", "unsplit"])
+    def test_weighted_matches_per_row_reference(self, bilinear, split):
+        pair = KernelPair.make("0.5 + 0.1*t")
+        forcing = (manufactured_forcing(pair, bilinear, "1 + t") if split
+                   else SQRT_FORCING)
+        prob = FirstKindProblem(pair, bilinear, forcing)
+        got = transform_first_kind_weighted(prob, SonineData.make(pair, bilinear),
+                                            self.MESH).r
+        np.testing.assert_allclose(got[1:], weighted_rhs_reference(prob, self.MESH),
+                                   rtol=1e-14, atol=0.0)
 
 
 class TestNonlocalOde:
