@@ -263,10 +263,10 @@ def _unit_rule(levels: int, nodes_per_panel: int):
     return graded_nodes(0.0, 1.0, "left", levels, nodes_per_panel)
 
 
-def graded_rows(fn, ends, levels: int = DEFAULT_PANEL_LEVELS,
-                nodes_per_panel: int = DEFAULT_PANEL_NODES) -> np.ndarray:
+def graded_rows(fn, ends, levels: int) -> np.ndarray:
     """int_0^e fn(z, e) dz for every e > 0 in ends, singular end at 0: the
-    batched form of graded_panel_quad(lambda z: fn(z, e), 0, e, "left").
+    batched form of graded_panel_quad(lambda z: fn(z, e), 0, e, "left",
+    levels=levels).
 
     fn gets z of shape (B, P), row b being e_b times the unit rule, and e of
     shape (B, 1); its result broadcasts to (B, P).  Rows go to fn in chunks
@@ -276,7 +276,7 @@ def graded_rows(fn, ends, levels: int = DEFAULT_PANEL_LEVELS,
     ends = np.asarray(ends, dtype=float).ravel()
     if not np.all(ends > 0.0):
         raise ValidationError("graded_rows needs upper ends e > 0")
-    x, w = _unit_rule(levels, nodes_per_panel)
+    x, w = _unit_rule(levels, DEFAULT_PANEL_NODES)
     rows = max(1, GRADED_ROWS_POINTS // x.size)
     out = np.empty(ends.size)
     for a in range(0, ends.size, rows):

@@ -168,7 +168,7 @@ def g_reference(data: SonineData, s: float, t: float, levels: int = 60) -> float
     return _conv_reference(data.weight, s, t, pair.k, pair.K, pair.alpha0, levels)
 
 
-def csc_residual(data: SonineData, t: float, levels: int = 60) -> float:
+def csc_residual(data: SonineData, t: float) -> float:
     """|int_0^t K(t-s) k(s) ds - 1| by the graded reference with w = 1, so
     the check exercises k and K themselves (on the Jacobi rule, a constant
     exponent reduces it to the rule's mass against kappa)."""
@@ -176,7 +176,7 @@ def csc_residual(data: SonineData, t: float, levels: int = 60) -> float:
     if not 0.0 < t <= pair.b:
         raise DomainError(f"t must lie in (0, {pair.b}]")
     val = _conv_reference(lambda s, y: 1.0, 0.0, t, pair.k, pair.K,
-                          pair.alpha0, levels)
+                          pair.alpha0, 60)
     return abs(val - 1.0)
 
 

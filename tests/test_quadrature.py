@@ -306,20 +306,20 @@ class TestGradedRows:
             return np.ones_like(z)
 
         ends = np.linspace(0.1, 1.0, 40)
-        np.testing.assert_allclose(graded_rows(fn, ends), ends, rtol=1e-14)
+        np.testing.assert_allclose(graded_rows(fn, ends, 60), ends, rtol=1e-14)
         assert len(calls) > 1
         assert all(b * p <= GRADED_ROWS_POINTS for b, p in calls)
         assert sum(b for b, _ in calls) == len(ends)
 
     def test_exact_on_inverse_sqrt(self):
-        got = graded_rows(lambda z, e: z ** -0.5, [0.25, 1.0, 4.0], levels=60)
+        got = graded_rows(lambda z, e: z ** -0.5, [0.25, 1.0, 4.0], 60)
         np.testing.assert_allclose(got, [1.0, 2.0, 4.0], rtol=1e-8)
 
     def test_nonfinite_integrand_rejected(self):
         fn = lambda z, e: np.where((e > 0.5) & (z > 0.5 * e), np.inf, 1.0)
         with pytest.raises(NumericalError, match="non-finite"):
-            graded_rows(fn, [0.25, 0.75])
+            graded_rows(fn, [0.25, 0.75], 60)
 
     def test_ends_must_be_positive(self):
         with pytest.raises(ValidationError):
-            graded_rows(lambda z, e: z, [0.5, 0.0])
+            graded_rows(lambda z, e: z, [0.5, 0.0], 60)
