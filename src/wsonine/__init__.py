@@ -11,7 +11,8 @@ from .kernels import (KERNEL_PRESETS, WEIGHT_PRESETS, KernelPair,
                       VarExponent, Weight, kappa, kernel_preset, licm_check,
                       weight_preset)
 from .quadrature import (JacobiRule, Mesh, default_grading, graded_panel_quad,
-                         jacobi_rule, power_conv_matrix, power_conv_weights)
+                         jacobi_rule, power_conv_apply, power_conv_rows,
+                         power_conv_weights)
 from .sonine import (G_reference, SonineData, associate_from_wsc2,
                      csc_residual, eval_G, eval_G2, eval_g, eval_g2,
                      g_reference, wsc1_report, wsc2_report)

@@ -6,7 +6,7 @@ Four tools, all serving integrals whose singular factor is known a priori:
   built by Golub-Welsch from the three-term recurrence, optionally after
   the substitution z = v^p;
 * closed-form product-integration weights for convolving a piecewise-linear
-  interpolant with a pure power |t* - s|^(-beta);
+  interpolant with a pure power (t_i - s)^(-beta), built in blocks of rows;
 * composite Gauss-Legendre on geometrically graded panels for integrands
   with a log or power (< 1) singularity at one end, one interval at a time
   or batched over the upper ends of [0, e];
@@ -16,6 +16,7 @@ Four tools, all serving integrals whose singular factor is known a priori:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,6 +33,8 @@ MEMORY_PANEL_LEVELS = 30
 MEMORY_PANEL_NODES = 8
 # points per integrand call of graded_rows
 GRADED_ROWS_POINTS = 8192
+# rows per block of the product-integration matrix, in every caller
+ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -146,70 +149,58 @@ def default_grading(alpha0: float) -> float:
 
 # --------------------------------------------- product-integration weights
 
-def power_conv_weights(beta: float, mesh: Mesh, i: int,
-                       singular_end: str = "right") -> np.ndarray:
-    """Weights {w_ij, j=0..i} with sum_j w_ij phi(t_j) equal to
-
-        int_0^{t_i} (t_i - s)^(-beta) phihat(s) ds   (singular_end="right")
-        int_0^{t_i} s^(-beta)        phihat(s) ds   (singular_end="left")
-
-    exactly for the piecewise-linear interpolant phihat of phi on the mesh;
-    row i of power_conv_matrix.
-    """
-    if not 1 <= i <= mesh.n:
-        raise ValidationError(f"step index {i} outside 1..{mesh.n}")
-    return _conv_row(beta, mesh.points, i, singular_end, False, np.zeros(i + 1))
-
-
-def power_conv_matrix(beta: float, mesh: Mesh, singular_end: str = "right",
-                      derivative: bool = False) -> np.ndarray:
-    """The lower-triangular (N+1)x(N+1) matrix of the rows i = 1..N above
-    (row 0 is zero).  derivative=True (right end only) gives the L1 rows of
-    d/dt int_0^t (t - s)^(-beta) phihat(s) ds at t = t_i instead:
-    t_i^(-beta) phi_0 + sum_j m0_ij (phi_{j+1} - phi_j) / tau_j."""
-    t = mesh.points
-    w = np.zeros((mesh.n + 1, mesh.n + 1))
-    for i in range(1, mesh.n + 1):
-        _conv_row(beta, t, i, singular_end, derivative, w[i, : i + 1])
-    return w
-
-
-def _conv_row(beta, t, i, singular_end, derivative, out):
-    """Add row i to out[:i+1] (zeroed) from the panel moments
-    m0 = int (.)^(-beta) ds and m1 = int s (.)^(-beta) ds; returns out."""
+def power_conv_rows(beta: float, t: np.ndarray, a: int, b: int,
+                    derivative: bool = False) -> np.ndarray:
+    """Rows a..b-1, as a (b-a, b) block, of the lower-triangular W with
+    sum_j W_ij phi(t_j) = int_0^{t_i} (t_i - s)^(-beta) phihat(s) ds exactly
+    for the piecewise-linear interpolant phihat of phi on the nodes t.
+    derivative=True gives the L1 rows of d/dt of that integral at t_i:
+    t_i^(-beta) phi_0 + sum_j m0_ij (phi_{j+1} - phi_j) / tau_j.  The lags
+    are clipped, max(t_i - t_j, 0), so row 0 and the entries j > i are 0."""
     if not 0.0 < beta < 1.0:
         raise ValidationError(f"beta must lie in (0,1), got {beta}")
-    ti = t[i]
-    lo, hi = t[:i], t[1 : i + 1]
-    h = hi - lo
-    if singular_end == "right":
-        # u = t_i - s per panel; panel j runs from u = lag[j+1] to lag[j]
-        lag = ti - t[: i + 1]
-        p1 = lag ** (1.0 - beta)
-        m0 = (p1[:-1] - p1[1:]) / (1.0 - beta)
-        if derivative:
-            out[0] = ti ** -beta
-            out[:i] -= m0 / h
-            out[1:] += m0 / h
-            return out
-        p2 = lag ** (2.0 - beta)
-        m1 = ti * m0 - (p2[:-1] - p2[1:]) / (2.0 - beta)
-    elif singular_end == "left" and not derivative:
-        p1 = t[: i + 1] ** (1.0 - beta)
-        p2 = t[: i + 1] ** (2.0 - beta)
-        m0 = (p1[1:] - p1[:-1]) / (1.0 - beta)
-        m1 = (p2[1:] - p2[:-1]) / (2.0 - beta)
-    else:
-        raise ValidationError("singular_end must be 'left' or 'right' "
-                              "('right' for the derivative form)")
-    out[:i] += (hi * m0 - m1) / h
-    out[1:] += (m1 - lo * m0) / h
+    if not 0 <= a < b <= len(t):
+        raise ValidationError(f"row block [{a}, {b}) outside 0..{len(t)}")
+    ti = t[a:b, None]
+    h = np.diff(t[:b])
+    # panel j runs from lag[:, j+1] to lag[:, j] in u = t_i - s
+    lag = np.maximum(ti - t[None, :b], 0.0)
+    p1 = lag ** (1.0 - beta)
+    m0 = (p1[:, :-1] - p1[:, 1:]) / (1.0 - beta)
+    out = np.zeros((b - a, b))
+    if derivative:
+        # a scalar power per row: the array power may differ in the last bit
+        out[:, 0] = [math.pow(x, -beta) if x > 0.0 else 0.0 for x in t[a:b]]
+        out[:, :-1] -= m0 / h
+        out[:, 1:] += m0 / h
+        return out
+    p2 = lag ** (2.0 - beta)
+    m1 = ti * m0 - (p2[:, :-1] - p2[:, 1:]) / (2.0 - beta)
+    out[:, :-1] += (t[1:b] * m0 - m1) / h
+    out[:, 1:] += (m1 - t[: b - 1] * m0) / h
     return out
 
 
-def power_moment(beta: float, upper: float) -> float:
-    """int_0^T s^(-beta) ds, the row-sum identity for the weights above."""
-    return upper ** (1.0 - beta) / (1.0 - beta)
+def power_conv_apply(beta: float, t: np.ndarray, v: np.ndarray,
+                     lag_factor=None) -> np.ndarray:
+    """W @ v for the matrix of power_conv_rows, built ROW_BLOCK rows at a
+    time, so no (N+1)^2 matrix is held.  With lag_factor, each block of W is
+    first multiplied elementwise by lag_factor on its clipped lags."""
+    out = np.empty(len(t))
+    for a in range(0, len(t), ROW_BLOCK):
+        b = min(a + ROW_BLOCK, len(t))
+        w = power_conv_rows(beta, t, a, b)
+        if lag_factor is not None:
+            w *= lag_factor(np.maximum(t[a:b, None] - t[None, :b], 0.0))
+        out[a:b] = w @ v[:b]
+    return out
+
+
+def power_conv_weights(beta: float, mesh: Mesh, i: int) -> np.ndarray:
+    """Row i of power_conv_rows on the mesh, {w_ij, j = 0..i}."""
+    if not 1 <= i <= mesh.n:
+        raise ValidationError(f"step index {i} outside 1..{mesh.n}")
+    return power_conv_rows(beta, mesh.points, i, i + 1)[0]
 
 
 # ------------------------------------------------- graded panel quadrature

@@ -16,12 +16,12 @@ solve.
 
 The K-term acts on f and Lap u alike, so both share one history array V:
 row j holds f(t_j) and gains Lap u_j once step j is solved, and the K-term
-of step i is lw[i, :i+1] @ V[:i+1] (row i still holds f(t_i) alone).  The
-steps run in blocks of BLOCK: for a block [a, b) the far part
-lw[a:b, :a] @ V[:a] is one matrix product before the block, and each step
-adds its near part over columns a..i.  The memory term, when g2 does not
-vanish, stays one row c_i @ u[:i] per step.  f is evaluated once per block
-of time nodes.
+of step i is sum_j a_ij V_j over j <= i (row i still holds f(t_i) alone).
+The steps run in blocks of quadrature.ROW_BLOCK: for a block [a, b) the L1
+rows a..b-1 are built, the far part (columns < a) is one matrix product
+before the block, and each step adds its near part over columns a..i.  The
+memory term, when g2 does not vanish, stays one row c_i @ u[:i] per step.
+f is evaluated once per block of time nodes.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ from .csvfile import write_csv
 from .errors import NumericalError, ValidationError
 from .expr import ExprAst, as_function
 from .kernels import KernelPair, Weight, gamma
-from .quadrature import Mesh, memory_panel_weights, power_conv_matrix
+from .quadrature import ROW_BLOCK, Mesh, memory_panel_weights, power_conv_rows
 # wsc1_report stays bound here: the benchmark's span tracer patches it
 from .sonine import SonineData, eval_g2, g2_vanishes, wsc1_report  # noqa: F401
 from .vie import require_wsc1
 
 INSTABILITY_FACTOR = 1e3
-BLOCK = 32        # steps per history block: one matrix product per far part
 
 
 @dataclass
@@ -104,19 +103,20 @@ class PdeSolution:
                    for xj, uij in zip(self.x, ui)))
 
 
-def l1_weights(alpha0: float, mesh: Mesh,
+def l1_weights(alpha0: float, t: np.ndarray, a: int, b: int,
                assoc_norm: Optional[float] = None) -> np.ndarray:
-    """Rows i = 1..N of weights a_{ij} with
+    """Rows i = a..b-1, as a (b-a, b) block, of the weights a_{ij} with
 
         d/dt int_0^{t_i} K(t_i - s) phihat(s) ds = sum_j a_{ij} phi(t_j)
 
-    exact for piecewise-linear phihat, where K(t) = t^(alpha0-1)/Gamma(alpha0)
-    (or /assoc_norm when given): the derivative form of power_conv_matrix.
-    Row 0 is zero; the boundary term K(t_i)phi_0 is folded into a_{i0}.
+    exact for piecewise-linear phihat on the nodes t, where
+    K(t) = t^(alpha0-1)/Gamma(alpha0) (or /assoc_norm when given): the
+    derivative form of power_conv_rows.  Row 0 and the entries j > i are
+    zero; the boundary term K(t_i)phi_0 is folded into a_{i0}.
     """
     if not 0.0 < alpha0 < 1.0:
         raise ValidationError(f"alpha0 must lie in (0,1), got {alpha0}")
-    w = power_conv_matrix(1.0 - alpha0, mesh, "right", derivative=True)
+    w = power_conv_rows(1.0 - alpha0, t, a, b, derivative=True)
     w /= gamma(alpha0) if assoc_norm is None else assoc_norm
     return w
 
@@ -160,8 +160,7 @@ def solve_subdiffusion(config: PdeConfig,
     u[0] = as_function(config.initial, ("x",))(x)
     scale = max(1.0, float(np.max(np.abs(u[0]))))
 
-    lw = l1_weights(pair.alpha0, mesh, pair.assoc_norm)
-    gdiag = np.asarray([float(weight(ti, ti)) for ti in t])
+    gdiag = np.broadcast_to(np.asarray(weight(t, t), dtype=float), t.shape)
     if np.any(np.abs(gdiag) < 1e-12):
         raise NumericalError("g(t,0) = w(t,t) vanishes on the mesh")
 
@@ -179,19 +178,20 @@ def solve_subdiffusion(config: PdeConfig,
     forcing_s = 0.0
     started = time.perf_counter()
 
-    for a in range(0, n + 1, BLOCK):
-        b = min(a + BLOCK, n + 1)
+    for a in range(0, n + 1, ROW_BLOCK):
+        b = min(a + ROW_BLOCK, n + 1)
         clock = time.perf_counter()
         hist[a:b] = _forcing_block(f_fn, x, t[a:b])
         forcing_s += time.perf_counter() - clock
         if a == 0:
             hist[0] += lap(u[0])
-        far = lw[a:b, :a] @ hist[:a]
+        lw = l1_weights(pair.alpha0, t, a, b, pair.assoc_norm)
+        far = lw[:, :a] @ hist[:a]
 
         for i in range(max(a, 1), b):
             gi = gdiag[i]
             # near part; row i of hist is still f(t_i) alone
-            acc = far[i - a] + lw[i, a:i + 1] @ hist[a:i + 1]
+            acc = far[i - a] + lw[i - a, a:i + 1] @ hist[a:i + 1]
             b_last = 0.0
             if not memory_skipped:
                 m0, m1 = memory_panel_weights(
@@ -206,7 +206,7 @@ def solve_subdiffusion(config: PdeConfig,
             rhs = u[i - 1] / tau[i - 1] + acc / gi
 
             shift = 1.0 / tau[i - 1] + b_last / (gi * tau[i - 1])
-            coef = lw[i, i] / gi
+            coef = lw[i - a, i] / gi
             ab = np.zeros((3, m))
             ab[0, 1:] = -coef / h ** 2
             ab[1, :] = shift + 2.0 * coef / h ** 2
@@ -233,6 +233,6 @@ def solve_subdiffusion(config: PdeConfig,
     return PdeSolution(x, t.copy(), u, solve_res,
                        meta={"m": m, "n": n, "jacobi_nodes": data.rule.n,
                              "memory_skipped": memory_skipped,
-                             "history_block": BLOCK,
+                             "history_block": ROW_BLOCK,
                              "timings": {"forcing_s": forcing_s,
                                          "stepping_s": stepping_s}})

@@ -25,12 +25,9 @@ from .expr import ExprAst, as_function, diff_expr, parse_expr
 from .kernels import KernelPair, Weight
 # graded_panel_quad stays bound here: the benchmark's span tracer patches it
 from .quadrature import (Mesh, graded_panel_quad, graded_rows,  # noqa: F401
-                         memory_panel_weights, power_conv_matrix,
+                         memory_panel_weights, power_conv_apply,
                          power_conv_weights)
 from .sonine import SonineData, eval_g2, g2_vanishes, wsc1_report
-
-# rows of the lag matrix transform_first_kind_K evaluates psi on at once
-PSI_BLOCK = 32
 
 
 # ------------------------------------------------------------------ types
@@ -142,7 +139,7 @@ class NonlocalOdeProblem:
 
 @dataclass
 class SecondKindProblem:
-    d: Callable                      # diagonal coefficient d(t)
+    d: Callable                      # diagonal d(t), called on the nodes
     m: Optional[Callable]            # memory kernel m(y, t), vectorized in y;
                                      # None when it is identically 0
     r: Union[Callable, np.ndarray]   # right-hand side, callable or per-node
@@ -189,6 +186,7 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
     t = mesh.points
     n = mesh.n
     u = np.zeros(n + 1)
+    d = _values(problem.d, t[1:])
     u0 = problem.u0
     if u0 is None:
         try:
@@ -203,7 +201,7 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
 
     for i in range(1, n + 1):
         ti = t[i]
-        di = float(problem.d(ti))
+        di = float(d[i - 1])
         if abs(di) < d_min:
             raise NumericalError(f"diagonal coefficient below {d_min} at t = {ti}")
         ri = problem.rhs_at(i, ti)
@@ -264,14 +262,14 @@ def max_node_error(mesh: Mesh, u: np.ndarray, exact_fn, skip_first=False) -> flo
 def conv_with_K(pair: KernelPair, mesh: Mesh, u: np.ndarray, t: float) -> float:
     """int_0^t K(t-s) uhat(s) ds at a mesh node, exact power moments."""
     i = node_index(mesh, t)
-    w = power_conv_weights(1.0 - pair.alpha0, mesh, i, "right")
+    w = power_conv_weights(1.0 - pair.alpha0, mesh, i)
     return float(np.dot(w, u[: i + 1])) / pair.assoc_norm
 
 
 def conv_with_k(pair: KernelPair, mesh: Mesh, u: np.ndarray, t: float) -> float:
     """int_0^t k(t-s) uhat(s) ds using the s^(-alpha0) x smooth split."""
     i = node_index(mesh, t)
-    w = power_conv_weights(pair.alpha0, mesh, i, "right")
+    w = power_conv_weights(pair.alpha0, mesh, i)
     phi = u[: i + 1] * np.asarray(pair.k_smooth_part(t - mesh.points[: i + 1]))
     return float(np.dot(w, phi))
 
@@ -281,8 +279,7 @@ def rhs_K_conv(pair: KernelPair, forcing: Forcing, c: float,
     """r_i = c K(t_i) + int_0^{t_i} K(t_i - y) f(y) dy on the mesh nodes;
     r_0 is infinite when c != 0 (the solver starts from the limit branch)."""
     t = mesh.points
-    w = power_conv_matrix(1.0 - pair.alpha0, mesh, "right")
-    r = w @ _values(forcing.f, t) / pair.assoc_norm
+    r = power_conv_apply(1.0 - pair.alpha0, t, _values(forcing.f, t)) / pair.assoc_norm
     r[0] = forcing.f0 * 0.0 if c == 0.0 else np.inf
     if c != 0.0:
         r[1:] += c * pair.K(t[1:])
@@ -322,11 +319,10 @@ def _K_conv_fprime(pair: KernelPair, weight: Weight, forcing: Forcing,
     piecewise-linear interpolation of a power has scale-invariant relative
     error on the early panels, which would freeze the first errors."""
     t = mesh.points
-    n = mesh.n
     beta = 1.0 - pair.alpha0
     if forcing.has_prime_split:
         fb = np.concatenate(([0.0], _values(forcing.prime_bulk, t[1:])))
-        out = power_conv_matrix(beta, mesh, "right") @ fb
+        out = power_conv_apply(beta, t, fb)
         if forcing.u0 != 0.0:
             out[1:] += forcing.u0 * _split_singular_conv(
                 lambda s: np.asarray(weight(0.0, s)) * pair.k(s),
@@ -334,10 +330,9 @@ def _K_conv_fprime(pair: KernelPair, weight: Weight, forcing: Forcing,
         return out / pair.assoc_norm
 
     if not forcing.prime_singular_at_zero:
-        w = power_conv_matrix(beta, mesh, "right")
-        return w @ _values(forcing.f_prime, t) / pair.assoc_norm
+        return power_conv_apply(beta, t, _values(forcing.f_prime, t)) / pair.assoc_norm
 
-    out = np.zeros(n + 1)
+    out = np.zeros(mesh.n + 1)
     out[1:] = _split_singular_conv(forcing.f_prime, lambda x: x ** (-beta),
                                    t[1:]) / pair.assoc_norm
     return out
@@ -372,7 +367,7 @@ def transform_first_kind_weighted(problem: FirstKindProblem, data: SonineData,
     r[1:] = forcing.f0 * pair.K(t[1:]) + conv[1:]
 
     return SecondKindProblem(
-        d=lambda tt: float(weight(tt, tt)),
+        d=lambda tt: weight(tt, tt),
         m=_memory(data),
         r=r,
         u0=None)
@@ -394,12 +389,11 @@ def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
     require_wsc1(data)
     pair, weight, forcing = problem.pair, problem.weight, problem.forcing
     t = mesh.points
-    n = mesh.n
 
     # psi(s) = w(0,s) * smooth part of k, so the integrand is s^(-a0) psi f'
     psi_fn = lambda s: np.asarray(weight(np.zeros_like(np.asarray(s, float)), s)) \
         * np.asarray(pair.k_smooth_part(s))
-    r = np.empty(n + 1)
+    r = np.empty(mesh.n + 1)
     exact_zero = forcing.f0 == 0.0 and not forcing.prime_singular_at_zero
     r[0] = 0.0 if exact_zero else np.inf
     if forcing.prime_singular_at_zero:
@@ -410,15 +404,9 @@ def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
     else:
         # s -> t_i - s puts the power at the right end and f' on the graded
         # mesh itself, where any weak singularity of f' at zero is resolved;
-        # psi is smooth, so evaluating it at the lags costs no accuracy.
-        # Rows a..b-1 take psi on one block of lags t_i - t_j; the lags
-        # j > i are clipped to 0, where w is 0
-        w = power_conv_matrix(pair.alpha0, mesh, "right")
-        fp = _values(forcing.f_prime, t)
-        for a in range(1, n + 1, PSI_BLOCK):
-            b = min(a + PSI_BLOCK, n + 1)
-            lag = np.maximum(t[a:b, None] - t[None, :b], 0.0)
-            r[a:b] = (w[a:b, :b] * psi_fn(lag)) @ fp[:b]
+        # psi is smooth, so evaluating it at the lags costs no accuracy
+        r[1:] = power_conv_apply(pair.alpha0, t, _values(forcing.f_prime, t),
+                                 lag_factor=psi_fn)[1:]
     r[1:] += forcing.f0 * weight(0.0, t[1:]) * pair.k(t[1:])
 
     g00 = float(weight(0.0, 0.0))
@@ -467,7 +455,7 @@ def solve_nonlocal_ode(problem: NonlocalOdeProblem, mesh: Mesh,
     def build():
         require_wsc1(data)
         return SecondKindProblem(
-            d=lambda tt: float(weight(tt, tt)),
+            d=lambda tt: weight(tt, tt),
             m=_memory(data),
             r=rhs_K_conv(problem.pair, problem.forcing, problem.c, mesh),
             u0=None)
@@ -489,7 +477,7 @@ def residual_first_kind(problem: FirstKindProblem, mesh: Mesh, u: np.ndarray,
         if i == 0:
             continue
         if problem.variant == "weighted-k":
-            w = power_conv_weights(pair.alpha0, mesh, i, "right")
+            w = power_conv_weights(pair.alpha0, mesh, i)
             sgrid = mesh.points[: i + 1]
             phi = (np.asarray(weight(sgrid, tc))
                    * np.asarray(pair.k_smooth_part(tc - sgrid)) * u[: i + 1])

@@ -8,12 +8,18 @@ from scipy.special import digamma
 
 from wsonine.errors import NumericalError, ValidationError
 from wsonine.quadrature import (GRADED_ROWS_POINTS, MEMORY_PANEL_LEVELS,
+                                ROW_BLOCK,
                                 MEMORY_PANEL_NODES, Mesh, default_grading,
                                 graded_nodes, graded_panel_quad, graded_rows,
                                 jacobi_rule, lag_rule,
-                                memory_panel_weights, power_conv_matrix,
-                                power_conv_weights, power_moment)
+                                memory_panel_weights, power_conv_apply,
+                                power_conv_rows, power_conv_weights)
 from wsonine.sonine import SONINE_JACOBI_N, SONINE_JACOBI_POWER
+
+
+def power_moment(beta, upper):
+    """int_0^T s^(-beta) ds, the row sum of the product-integration weights."""
+    return upper ** (1.0 - beta) / (1.0 - beta)
 
 
 def beta_fn(a, b):
@@ -113,13 +119,46 @@ class TestMesh:
         assert default_grading(0.9) == pytest.approx(2.0 / 0.9)
 
 
+def conv_row_reference(beta, t, i, derivative=False):
+    """Row i of power_conv_rows, one row at a time with the same arithmetic
+    (the loop the blocked builder replaced)."""
+    ti = t[i]
+    lo, hi = t[:i], t[1 : i + 1]
+    h = hi - lo
+    lag = ti - t[: i + 1]
+    p1 = lag ** (1.0 - beta)
+    m0 = (p1[:-1] - p1[1:]) / (1.0 - beta)
+    out = np.zeros(i + 1)
+    if derivative:
+        out[0] = ti ** -beta
+        out[:i] -= m0 / h
+        out[1:] += m0 / h
+        return out
+    p2 = lag ** (2.0 - beta)
+    m1 = ti * m0 - (p2[:-1] - p2[1:]) / (2.0 - beta)
+    out[:i] += (hi * m0 - m1) / h
+    out[1:] += (m1 - lo * m0) / h
+    return out
+
+
+def left_end_row(beta, t, i):
+    """Weights w_j with sum_j w_j phi(t_j) = int_0^{t_i} s^(-beta) phihat(s) ds:
+    s = t_i - sigma turns this into the right-end row on the reflected
+    nodes t_i - t_{i-k}, with the data reversed."""
+    reflected = t[i] - t[i::-1]
+    return power_conv_rows(beta, reflected, i, i + 1)[0][::-1]
+
+
 class TestPowerConvWeights:
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("end", ["right", "left"])
     def test_row_sum_identity(self, beta, end):
         mesh = Mesh(1.0, 32, 2.0)
         for i in (1, 7, 32):
-            w = power_conv_weights(beta, mesh, i, end)
+            if end == "right":
+                w = power_conv_weights(beta, mesh, i)
+            else:
+                w = left_end_row(beta, mesh.points, i)
             assert w.sum() == pytest.approx(power_moment(beta, mesh.points[i]),
                                             rel=1e-13, abs=1e-13)
 
@@ -127,13 +166,13 @@ class TestPowerConvWeights:
         # phi(s) = s against (t-s)^(-1/2): exact value B(2, 1/2) t^(3/2)
         mesh = Mesh(1.0, 16)
         i = 16
-        w = power_conv_weights(0.5, mesh, i, "right")
+        w = power_conv_weights(0.5, mesh, i)
         got = float(np.dot(w, mesh.points))
         assert got == pytest.approx(beta_fn(2, 0.5), rel=1e-13)
 
     def test_left_exact_on_linear(self):
         mesh = Mesh(1.0, 16)
-        w = power_conv_weights(0.5, mesh, 16, "left")
+        w = left_end_row(0.5, mesh.points, 16)
         got = float(np.dot(w, mesh.points))
         assert got == pytest.approx(2.0 / 3.0, rel=1e-13)
 
@@ -144,24 +183,38 @@ class TestPowerConvWeights:
         with pytest.raises(ValidationError):
             power_conv_weights(0.5, mesh, 0)
         with pytest.raises(ValidationError):
-            power_conv_weights(0.5, mesh, 4, "middle")
+            power_conv_weights(0.5, mesh, 9)
 
 
 class TestPowerConvMatrix:
+    """The lower-triangular matrix W that power_conv_rows builds in blocks."""
+
     @settings(max_examples=40, deadline=None)
     @given(beta=st.floats(0.05, 0.95), r=st.floats(1.0, 4.0),
-           n=st.integers(2, 64), end=st.sampled_from(["right", "left"]))
-    def test_rows_are_the_row_weights(self, beta, r, n, end):
+           n=st.integers(2, 64), derivative=st.booleans(), data=st.data())
+    def test_rows_are_the_row_weights(self, beta, r, n, derivative, data):
+        # any block a..b-1 is exactly those rows of the (0, N+1) build, and
+        # every row has the bits of the one-row loop
         mesh = Mesh(1.0, n, r)
-        w = power_conv_matrix(beta, mesh, end)
+        t = mesh.points
+        w = power_conv_rows(beta, t, 0, n + 1, derivative)
         assert w.shape == (n + 1, n + 1)
         assert not np.any(w[0])
         assert not np.any(np.triu(w, 1))
+        a = data.draw(st.integers(0, n))
+        b = data.draw(st.integers(a + 1, n + 1))
+        block = power_conv_rows(beta, t, a, b, derivative)
+        assert block.shape == (b - a, b)
+        np.testing.assert_array_equal(block, w[a:b, :b])
         for i in range(1, n + 1):
-            np.testing.assert_allclose(w[i, : i + 1],
-                                       power_conv_weights(beta, mesh, i, end),
-                                       rtol=1e-14, atol=0.0)
-        sums = np.array([power_moment(beta, ti) for ti in mesh.points[1:]])
+            np.testing.assert_array_equal(w[i, : i + 1],
+                                          conv_row_reference(beta, t, i, derivative))
+        if derivative:
+            return
+        for i in range(1, n + 1):
+            np.testing.assert_array_equal(w[i, : i + 1],
+                                          power_conv_weights(beta, mesh, i))
+        sums = np.array([power_moment(beta, ti) for ti in t[1:]])
         np.testing.assert_allclose(w[1:].sum(axis=1), sums, rtol=1e-13)
 
     @settings(max_examples=40, deadline=None)
@@ -172,9 +225,7 @@ class TestPowerConvMatrix:
         #   = a t^(-beta) + b t^(1-beta) / (1-beta)
         mesh = Mesh(1.0, n, r)
         t = mesh.points
-        w = power_conv_matrix(beta, mesh, "right", derivative=True)
-        assert not np.any(w[0])
-        assert not np.any(np.triu(w, 1))
+        w = power_conv_rows(beta, t, 0, n + 1, derivative=True)
         np.testing.assert_allclose(w[1:] @ np.ones(n + 1), t[1:] ** -beta,
                                    rtol=1e-11)
         np.testing.assert_allclose(w[1:] @ t, t[1:] ** (1.0 - beta) / (1.0 - beta),
@@ -185,23 +236,39 @@ class TestPowerConvMatrix:
            n=st.integers(1, 64))
     def test_exact_on_linear_data_at_both_ends(self, beta, r, n):
         # int_0^t (t-s)^(-beta) s ds = t^(2-beta) / ((1-beta)(2-beta)),
-        # int_0^t s^(-beta) s ds = t^(2-beta) / (2-beta)
+        # int_0^t s^(-beta) s ds = t^(2-beta) / (2-beta), the left end on
+        # reflected nodes
         mesh = Mesh(1.0, n, r)
         t = mesh.points
         top = t[1:] ** (2.0 - beta) / (2.0 - beta)
-        np.testing.assert_allclose((power_conv_matrix(beta, mesh, "right") @ t)[1:],
+        np.testing.assert_allclose(power_conv_apply(beta, t, t)[1:],
                                    top / (1.0 - beta), rtol=1e-12)
-        np.testing.assert_allclose((power_conv_matrix(beta, mesh, "left") @ t)[1:],
-                                   top, rtol=1e-12)
+        left = [left_end_row(beta, t, i) @ t[: i + 1] for i in range(1, n + 1)]
+        np.testing.assert_allclose(left, top, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [5, ROW_BLOCK, 2 * ROW_BLOCK + 3])
+    def test_apply_matches_the_full_build(self, n):
+        # blocks of ROW_BLOCK rows, the last one partial, with and without a
+        # factor on the clipped lags
+        t = Mesh(1.0, n, 3.0).points
+        v = np.cos(7.0 * t)
+        psi = lambda lag: 1.0 + lag * np.exp(-lag)
+        w = power_conv_rows(0.4, t, 0, n + 1)
+        lag = np.maximum(t[:, None] - t[None, :], 0.0)
+        np.testing.assert_allclose(power_conv_apply(0.4, t, v), w @ v,
+                                   rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(power_conv_apply(0.4, t, v, lag_factor=psi),
+                                   (w * psi(lag)) @ v, rtol=1e-14, atol=1e-15)
 
     def test_validation(self):
-        mesh = Mesh(1.0, 8)
+        t = Mesh(1.0, 8).points
         with pytest.raises(ValidationError):
-            power_conv_matrix(1.5, mesh)
+            power_conv_rows(1.5, t, 0, 9)
         with pytest.raises(ValidationError):
-            power_conv_matrix(0.5, mesh, "middle")
-        with pytest.raises(ValidationError):
-            power_conv_matrix(0.5, mesh, "left", derivative=True)
+            power_conv_rows(0.0, t, 0, 9, derivative=True)
+        for a, b in [(-1, 4), (4, 4), (5, 4), (0, 10)]:
+            with pytest.raises(ValidationError):
+                power_conv_rows(0.5, t, a, b)
 
 
 class TestLagRule:

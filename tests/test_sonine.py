@@ -11,10 +11,10 @@ from wsonine.errors import DomainError, UnsupportedConfigurationError
 from wsonine.kernels import (KERNEL_PRESETS, WEIGHT_PRESETS, KernelPair, Weight,
                              gamma)
 from wsonine.quadrature import Mesh
-from wsonine.sonine import (G_reference, SONINE_JACOBI_N, SonineData,
-                            associate_from_wsc2, csc_residual, eval_G, eval_G2,
-                            eval_g, eval_g2, g2_vanishes, g_reference,
-                            wsc1_report, wsc2_report)
+from wsonine.sonine import (G2_CHUNK, G_reference, SONINE_JACOBI_N,
+                            SonineData, associate_from_wsc2, csc_residual,
+                            eval_G, eval_G2, eval_g, eval_g2, g2_vanishes,
+                            g_reference, wsc1_report, wsc2_report)
 
 # variable exponents, rising and falling, with alpha(0) across (0,1)
 VARIABLE_EXPONENTS = ["0.5 + 0.1*t", "0.5 + 0.2*sin(t)", "0.3 + 0.4*t",
@@ -148,6 +148,26 @@ class TestEvalG2:
     def test_undefined_at_zero(self, var_data):
         with pytest.raises(DomainError):
             eval_g2(var_data, 0.1, 0.0)
+
+    @pytest.mark.parametrize("alpha, normalized", [("0.5", False),
+                                                   ("0.5 + 0.2*sin(t)", True)])
+    def test_chunked_points_are_bit_identical(self, alpha, normalized, bilinear):
+        # more than G2_CHUNK points, the last chunk partial: the same bits as
+        # the per-chunk calls concatenated, in the caller's shape
+        data = SonineData.make(KernelPair.make(alpha, normalized=normalized),
+                               bilinear)
+        rng = np.random.default_rng(11)
+        n = 2 * G2_CHUNK + 77
+        s = rng.uniform(0.0, 0.45, n)
+        t = rng.uniform(1e-6, 0.5, n)
+        got = eval_g2(data, s, t)
+        want = np.concatenate([eval_g2(data, s[a : a + G2_CHUNK], t[a : a + G2_CHUNK])
+                               for a in range(0, n, G2_CHUNK)])
+        np.testing.assert_array_equal(got, want)
+        grid = eval_g2(data, s[: 2 * G2_CHUNK].reshape(8, -1),
+                       t[: 2 * G2_CHUNK].reshape(8, -1))
+        assert grid.shape == (8, G2_CHUNK // 4)
+        np.testing.assert_array_equal(grid.ravel(), got[: 2 * G2_CHUNK])
 
 
 def unfused_g2(data, s, t):

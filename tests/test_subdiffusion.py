@@ -7,7 +7,7 @@ import pytest
 from wsonine import subdiffusion
 from wsonine.errors import NumericalError, ValidationError
 from wsonine.kernels import KernelPair, Weight, gamma
-from wsonine.quadrature import Mesh, memory_panel_weights
+from wsonine.quadrature import ROW_BLOCK, Mesh, memory_panel_weights
 from wsonine.sonine import SonineData, eval_g2
 from wsonine.subdiffusion import (PdeConfig, PdeSolution, l1_weights,
                                   solve_subdiffusion)
@@ -50,7 +50,7 @@ def row_by_row_solve(cfg):
     lap = (np.diag(np.full(m - 1, 1.0), -1) - 2.0 * np.eye(m)
            + np.diag(np.full(m - 1, 1.0), 1)) / h ** 2
     f = np.asarray([cfg.forcing(x, ti) for ti in t])
-    lw = l1_weights(cfg.pair.alpha0, mesh, cfg.pair.assoc_norm)
+    lw = l1_weights(cfg.pair.alpha0, t, 0, n + 1, cfg.pair.assoc_norm)
     u = np.zeros((n + 1, m))
     u[0] = cfg.initial(x)
     for i in range(1, n + 1):
@@ -70,7 +70,7 @@ class TestL1Weights:
     def test_row_sums_reproduce_kernel(self, alpha0):
         # phi = 1: d/dt int K(t-s) ds = K(t_i)
         mesh = Mesh(1.0, 16, 3.0)
-        w = l1_weights(alpha0, mesh)
+        w = l1_weights(alpha0, mesh.points, 0, 17)
         for i in (1, 7, 16):
             want = mesh.points[i] ** (alpha0 - 1.0) / math.gamma(alpha0)
             assert w[i].sum() == pytest.approx(want, rel=1e-13)
@@ -79,7 +79,7 @@ class TestL1Weights:
     def test_exact_on_linear_data(self, alpha0):
         # phi = t: the derivative is (1+a0) B(2, a0) t^a0 / Gamma(a0)
         mesh = Mesh(1.0, 16, 3.0)
-        w = l1_weights(alpha0, mesh)
+        w = l1_weights(alpha0, mesh.points, 0, 17)
         t = mesh.points
         for i in (1, 7, 16):
             want = (1 + alpha0) * beta_fn(2, alpha0) * t[i] ** alpha0 \
@@ -95,7 +95,7 @@ class TestL1Weights:
         norm = gamma(alpha0)
         rng = np.random.default_rng(7)
         phi = rng.standard_normal(13)
-        w = l1_weights(alpha0, mesh, norm)
+        w = l1_weights(alpha0, t, 0, 13, norm)
         for i in (1, 5, 12):
             slopes = np.diff(phi[: i + 1]) / tau[:i]
             moments = ((t[i] - t[:i]) ** alpha0
@@ -113,8 +113,8 @@ class TestL1Weights:
         errs = []
         for n in (16, 32, 64, 128):
             mesh = Mesh(1.0, n)
-            w = l1_weights(alpha0, mesh)
-            got = float(np.dot(w[n], mesh.points ** 2))
+            w = l1_weights(alpha0, mesh.points, n, n + 1)[0]
+            got = float(np.dot(w, mesh.points ** 2))
             errs.append(abs(got - exact))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(3)]
         assert all(o >= 1.4 for o in orders)
@@ -122,7 +122,9 @@ class TestL1Weights:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            l1_weights(1.0, Mesh(1.0, 8))
+            l1_weights(1.0, Mesh(1.0, 8).points, 0, 9)
+        with pytest.raises(ValidationError):
+            l1_weights(0.5, Mesh(1.0, 8).points, 3, 10)
 
 
 class TestPdeConfig:
@@ -216,9 +218,9 @@ class TestSolver:
         ("0.5", "1 + s*t", 4.0, 0.08482200307472745),
         ("0.5 + 0.2*t", "1 + s*t", 4.0, 0.07861058685068646)])
     def test_errors_pinned_across_blocks(self, alpha, w, r, want):
-        # N = 100 > BLOCK: the far parts of later blocks carry most of the
+        # N = 100 > ROW_BLOCK: the far parts of later blocks carry most of the
         # history; pinned from the row-by-row history products
-        assert subdiffusion.BLOCK < 100
+        assert ROW_BLOCK < 100
         assert self.pinned_error(alpha, w, r, 100) == pytest.approx(want, rel=1e-9)
 
     def test_memory_skip_bit_identical(self, monkeypatch, npair, unit_weight):
@@ -250,7 +252,7 @@ class TestSolver:
 
     def test_forcing_called_per_block(self, npair, unit_weight):
         # a callable forcing gets x of shape (B, M) and t of shape (B, 1),
-        # B <= BLOCK, once per block of time nodes
+        # B <= ROW_BLOCK, once per block of time nodes
         calls = []
 
         def f(x, t):
@@ -262,7 +264,7 @@ class TestSolver:
         cfg = PdeConfig(m=m, mesh=mesh, pair=npair, weight=unit_weight,
                         forcing=f, initial="0")
         got = solve_subdiffusion(cfg)
-        block = subdiffusion.BLOCK
+        block = ROW_BLOCK
         assert len(calls) == -(-(n + 1) // block)
         for xs, ts, _ in calls:
             assert xs[1] == m and 1 <= xs[0] <= block
@@ -292,8 +294,8 @@ class TestSolver:
         lambda x, t: np.ones((2, 3, 4))])                  # no broadcast
     def test_forcing_outside_block_contract_is_validation_error(
             self, npair, unit_weight, f):
-        # m = BLOCK, so a (B,) result would broadcast as a row unchecked
-        cfg = PdeConfig(m=subdiffusion.BLOCK, mesh=Mesh(1.0, 40, 4.0),
+        # m = ROW_BLOCK, so a (B,) result would broadcast as a row unchecked
+        cfg = PdeConfig(m=ROW_BLOCK, mesh=Mesh(1.0, 40, 4.0),
                         pair=npair, weight=unit_weight, forcing=f, initial="0")
         with pytest.raises(ValidationError, match=r"t of shape \(B, 1\)"):
             solve_subdiffusion(cfg)

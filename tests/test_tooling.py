@@ -62,7 +62,7 @@ def test_tracer_installs_runs_and_uninstalls():
         tracer.wrap_oracle(oracle)
         vie.solve_first_kind(vie.FirstKindProblem(var.pair, weight, oracle),
                              Mesh(1.0, 40, 4.0))
-        # N = 40 > BLOCK: the memory term of the PDE stepper across blocks
+        # N = 40 > ROW_BLOCK: the memory term of the PDE stepper across blocks
         memory = subdiffusion.PdeConfig(4, Mesh(1.0, 40, 4.0), npair, weight,
                                         "sin(3.141592653589793*x)", "0")
         pde = subdiffusion.solve_subdiffusion(memory)

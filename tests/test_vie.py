@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wsonine import vie
 from wsonine.errors import DomainError, NumericalError, ValidationError
 from wsonine.kernels import KernelPair, Weight
-from wsonine.quadrature import Mesh, graded_panel_quad, power_conv_matrix
+from wsonine.quadrature import Mesh, graded_panel_quad, power_conv_rows
 from wsonine.sonine import SonineData
 from wsonine.vie import (FirstKindProblem, Forcing, NonlocalOdeProblem,
                          SecondKindProblem, construct_csc_associate,
@@ -291,7 +291,7 @@ def k_kernel_rhs_reference(problem, mesh):
     psi = lambda s: (np.asarray(weight(np.zeros_like(np.asarray(s, float)), s))
                      * np.asarray(pair.k_smooth_part(s)))
     r = np.zeros(mesh.n + 1)
-    w = power_conv_matrix(pair.alpha0, mesh, "right")
+    w = power_conv_rows(pair.alpha0, t, 0, mesh.n + 1)
     for i in range(1, mesh.n + 1):
         if forcing.prime_singular_at_zero:
             r[i] = split_conv_reference(lambda s: s ** (-pair.alpha0) * psi(s),
@@ -314,7 +314,7 @@ def weighted_rhs_reference(problem, mesh):
     conv = np.zeros(mesh.n + 1)
     if forcing.has_prime_split:
         fb = np.concatenate(([0.0], forcing.prime_bulk(t[1:])))
-        conv = power_conv_matrix(beta, mesh, "right") @ fb
+        conv = power_conv_rows(beta, t, 0, mesh.n + 1) @ fb
     for i in range(1, mesh.n + 1):
         if forcing.has_prime_split:
             conv[i] += forcing.u0 * split_conv_reference(
@@ -331,7 +331,7 @@ SQRT_FORCING = Forcing(lambda t: 1.0 + np.sqrt(t), lambda t: 0.5 / np.sqrt(t), 1
 
 class TestRightHandSides:
     """The batched right-hand sides equal a per-node assembly; N = 70 spans
-    three PSI_BLOCK row blocks."""
+    three blocks of quadrature.ROW_BLOCK rows."""
 
     MESH = Mesh(1.0, 70, 4.0)
 
@@ -435,7 +435,7 @@ class TestAssociateConstruction:
         assert res[1] < res[0]
 
     @pytest.mark.xfail(strict=True, reason=(
-        "the hat weights of quadrature._conv_row, (hi*m0 - m1)/h, cancel on "
+        "the hat weights of quadrature.power_conv_rows, (hi*m0 - m1)/h, cancel on "
         "panels much narrower than their lag; the same closed-form moments in "
         "60-digit arithmetic leave a residual of 1.67e-5 here"))
     def test_conv_with_K_exact_associate_fine_graded_mesh(self, const_pair):
