@@ -25,7 +25,7 @@ def main(argv=None):
         if pair.exponent.is_constant:
             # the classical identity does not involve the weight
             data = SonineData.make(pair, weight_preset("w-one"))
-            r = max(csc_residual(data, 0.1 * i * pair.b) for i in range(1, 11))
+            r = max(csc_residual(data, [0.1 * i * pair.b for i in range(1, 11)]))
             ok = r <= args.tol
             print(f"{kname}: CSC residual {r:.3e} {'pass' if ok else 'FAIL'}")
             failures += not ok

@@ -62,7 +62,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
 
     if pair.exponent.is_constant:
         ts = [0.1 * k * pair.b for k in range(1, 11)]
-        rs = [csc_residual(data, t) for t in ts]
+        rs = csc_residual(data, ts).tolist()
         write_csv(os.path.join(out_dir, "csc.csv"), ["t", "residual"],
                   zip(ts, rs))
         worst = max(rs)

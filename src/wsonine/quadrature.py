@@ -8,8 +8,10 @@ Four tools, all serving integrals whose singular factor is known a priori:
 * closed-form product-integration weights for convolving a piecewise-linear
   interpolant with a pure power (t_i - s)^(-beta), built in blocks of rows;
 * composite Gauss-Legendre on geometrically graded panels for integrands
-  with a log or power (< 1) singularity at one end, one interval at a time
-  or batched over the upper ends of [0, e];
+  with a log or power (< 1) singularity at one end: one interval at a time
+  with an open innermost panel, or batched over the upper ends of [0, e]
+  with the innermost sliver taken against its measured power (graded_rows),
+  two of which make a split convolution of two singularities (split_conv);
 * the steppers' memory quadrature, hat-function weights per panel built
   from the last two.
 """
@@ -33,6 +35,9 @@ MEMORY_PANEL_LEVELS = 30
 MEMORY_PANEL_NODES = 8
 # points per integrand call of graded_rows
 GRADED_ROWS_POINTS = 8192
+# graded_rows measures the sliver's power between eps and eps 2^-SLIVER_SPREAD;
+# a wide spread damps the rounding of x^y = exp(y ln x) at these tiny z
+SLIVER_SPREAD = 24
 # rows per block of the product-integration matrix, in every caller
 ROW_BLOCK = 32
 
@@ -255,19 +260,27 @@ def _unit_rule(levels: int, nodes_per_panel: int):
 
 
 def graded_rows(fn, ends, levels: int) -> np.ndarray:
-    """int_0^e fn(z, e) dz for every e > 0 in ends, singular end at 0: the
-    batched form of graded_panel_quad(lambda z: fn(z, e), 0, e, "left",
-    levels=levels).
+    """int_0^e fn(z, e) dz for every e > 0 in ends, singular end at 0.
 
-    fn gets z of shape (B, P), row b being e_b times the unit rule, and e of
-    shape (B, 1); its result broadcasts to (B, P).  Rows go to fn in chunks
-    of about GRADED_ROWS_POINTS points and each row is reduced on its own,
-    so a row's value does not depend on the rows batched with it.
+    Gauss-Legendre on the panels [e 2^-(k+1), e 2^-k], k < levels, covers
+    [eps, e], eps = e 2^-levels.  The sliver [0, eps] holds a share
+    ~eps^(1-beta) of an integrand ~ z^(-beta), large for beta near 1, so it
+    is fn(eps) eps / (1 - beta), with beta measured from fn(eps) and
+    fn(eps 2^-SLIVER_SPREAD): 0 when they are zero or differ in sign, and
+    beta >= 1 raises NumericalError.
+
+    fn gets z of shape (B, P), row b being e_b times the unit panel nodes
+    and the two sliver points, and e of shape (B, 1); its result broadcasts
+    to (B, P).  Rows go to fn in chunks of about GRADED_ROWS_POINTS points
+    and each is reduced on its own, so it does not depend on its batch.
     """
     ends = np.asarray(ends, dtype=float).ravel()
     if not np.all(ends > 0.0):
         raise ValidationError("graded_rows needs upper ends e > 0")
     x, w = _unit_rule(levels, DEFAULT_PANEL_NODES)
+    eps = 0.5 ** levels
+    x = np.concatenate((x[:-DEFAULT_PANEL_NODES], [eps, eps * 0.5 ** SLIVER_SPREAD]))
+    w = w[:-DEFAULT_PANEL_NODES]
     rows = max(1, GRADED_ROWS_POINTS // x.size)
     out = np.empty(ends.size)
     for a in range(0, ends.size, rows):
@@ -277,8 +290,30 @@ def graded_rows(fn, ends, levels: int) -> np.ndarray:
         if not np.all(np.isfinite(vals)):
             bad = z[~np.isfinite(vals)][0]
             raise NumericalError(f"non-finite integrand value at {bad!r}")
-        out[a : a + rows] = np.sum(vals * w, axis=1) * ends[a : a + rows]
+        near, far = vals[:, -2], vals[:, -1]
+        ratio = np.divide(far, near, out=np.ones_like(near), where=near * far > 0.0)
+        beta = np.log2(ratio) / SLIVER_SPREAD
+        if np.any(beta >= 1.0):
+            raise NumericalError(f"integrand ~ z^(-{beta.max():.3g}) is not integrable at 0")
+        sliver = near * eps / (1.0 - beta)
+        out[a : a + rows] = (np.sum(vals[:, :-2] * w, axis=1) + sliver) * ends[a : a + rows]
     return out
+
+
+def split_conv(left, right, ends, levels: int) -> np.ndarray:
+    """int_0^e left(s) right(e - s) ds for every e > 0 in ends, where both
+    factors may have an integrable power singularity at zero argument.  The
+    integral is split at h = e/2 and each half is one graded_rows call in the
+    variable that puts its singularity at zero, so no small lag is formed by
+    subtraction; e = 2h exactly."""
+    def near_left(s, h):
+        return np.asarray(left(s)) * np.asarray(right(2.0 * h - s))
+
+    def near_right(x, h):
+        return np.asarray(left(2.0 * h - x)) * np.asarray(right(x))
+
+    half = 0.5 * np.asarray(ends, dtype=float)
+    return graded_rows(near_left, half, levels) + graded_rows(near_right, half, levels)
 
 
 def memory_panel_weights(m, t: np.ndarray, i: int):

@@ -21,7 +21,8 @@ from .csvfile import write_csv
 from .errors import DomainError, UnsupportedConfigurationError, ValidationError
 from .expr import substitute
 from .kernels import KernelPair, Weight, gamma
-from .quadrature import JacobiRule, graded_panel_quad, jacobi_rule
+from .quadrature import (DEFAULT_PANEL_LEVELS, JacobiRule, graded_panel_quad,
+                         jacobi_rule, split_conv)
 
 IDENTITY_TOL = 1e-8
 
@@ -151,53 +152,26 @@ def g2_vanishes(pair: KernelPair, weight: Weight, s=None) -> bool:
     return w_t.kind == "const" and w_t.value == 0.0
 
 
-def _power_singular_quad(fn, width: float, beta: float, levels: int) -> float:
-    """int_0^width fn(z) dz for fn(z) ~ c z^(-beta) as z -> 0.
-
-    Graded Gauss-Legendre covers [eps, width] with eps = width 2^-levels; the
-    sliver [0, eps] carries a share ~eps^(1-beta) of the integral, which is
-    not small when beta is near 1, so it is integrated against its known
-    power weight, fn(z) ~ fn(eps) (z/eps)^(-beta), instead of an open rule.
-    """
-    eps = width * 0.5 ** levels
-    sliver = float(np.ravel(fn(np.array([eps])))[0]) * eps / (1.0 - beta)
-    return graded_panel_quad(fn, eps, width, "left", levels=levels) + sliver
-
-
-def _conv_reference(w, s, t, first, second, beta, levels) -> float:
-    """int_0^t w(s, z+s) second(t-z) first(z) dz by graded quadrature, with
-    first(z) ~ z^(-beta) and second(u) ~ u^(beta-1): the integral is split at
-    t/2 and each half taken in the variable that puts its singularity at 0."""
+def g_reference(data: SonineData, s: float, t: float) -> float:
+    """Independent evaluation of the raw convolution defining g(s,t),
+    int_0^t w(s, z+s) k(z) K(t-z) dz, by split_conv; w(s,s) at t = 0."""
     if t <= 0.0:
-        return float(w(s, s))
-    half = 0.5 * t
-
-    def left(z):
-        return np.asarray(w(s, z + s)) * second(t - z) * first(z)
-
-    def right(u):  # u = t - z
-        return np.asarray(w(s, t - u + s)) * second(u) * first(t - u)
-
-    return (_power_singular_quad(left, half, beta, levels)
-            + _power_singular_quad(right, half, 1.0 - beta, levels))
+        return float(data.weight(s, s))
+    weighted_k = lambda z: np.asarray(data.weight(s, z + s)) * data.pair.k(z)
+    return float(split_conv(weighted_k, data.pair.K, [t], DEFAULT_PANEL_LEVELS)[0])
 
 
-def g_reference(data: SonineData, s: float, t: float, levels: int = 60) -> float:
-    """Independent evaluation of the raw convolution defining g(s,t)."""
-    pair = data.pair
-    return _conv_reference(data.weight, s, t, pair.k, pair.K, pair.alpha0, levels)
-
-
-def csc_residual(data: SonineData, t: float) -> float:
-    """|int_0^t K(t-s) k(s) ds - 1| by the graded reference with w = 1, so
+def csc_residual(data: SonineData, t):
+    """|int_0^t K(t-s) k(s) ds - 1| at each t in (0, b], by split_conv, so
     the check exercises k and K themselves (on the Jacobi rule, a constant
-    exponent reduces it to the rule's mass against kappa)."""
+    exponent reduces it to the rule's mass against kappa).  A float for a
+    scalar t, else an array of t's shape."""
     pair = data.pair
-    if not 0.0 < t <= pair.b:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0) or np.any(t > pair.b):
         raise DomainError(f"t must lie in (0, {pair.b}]")
-    val = _conv_reference(lambda s, y: 1.0, 0.0, t, pair.k, pair.K,
-                          pair.alpha0, 60)
-    return abs(val - 1.0)
+    res = np.abs(split_conv(pair.k, pair.K, t, DEFAULT_PANEL_LEVELS) - 1.0)
+    return float(res[0]) if t.ndim == 0 else res.reshape(t.shape)
 
 
 # -------------------------------------------------------------- WSC2 side
@@ -240,12 +214,15 @@ def eval_G2(data: SonineData, s, t):
     return float(out) if scalar else out
 
 
-def G_reference(data: SonineData, s: float, t: float, levels: int = 60) -> float:
-    """Direct quadrature of the defining order-swapped convolution."""
+def G_reference(data: SonineData, s: float, t: float) -> float:
+    """Direct quadrature of the defining order-swapped convolution,
+    int_0^t w(s, z+s) K(z) k(t-z) dz, by split_conv; w(s,s) at t = 0."""
     pair = data.pair
     _require_constant(pair, "G_reference")
-    return _conv_reference(data.weight, s, t, pair.K, pair.k, 1.0 - pair.alpha0,
-                           levels)
+    if t <= 0.0:
+        return float(data.weight(s, s))
+    weighted_K = lambda z: np.asarray(data.weight(s, z + s)) * pair.K(z)
+    return float(split_conv(weighted_K, pair.k, [t], DEFAULT_PANEL_LEVELS)[0])
 
 
 # ----------------------------------------------------------------- reports

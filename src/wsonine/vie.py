@@ -24,9 +24,9 @@ from .errors import DomainError, NumericalError, ValidationError
 from .expr import ExprAst, as_function, diff_expr, parse_expr
 from .kernels import KernelPair, Weight
 # graded_panel_quad stays bound here: the benchmark's span tracer patches it
-from .quadrature import (Mesh, graded_panel_quad, graded_rows,  # noqa: F401
-                         memory_panel_weights, power_conv_apply,
-                         power_conv_weights)
+from .quadrature import (DEFAULT_PANEL_LEVELS, Mesh, graded_panel_quad,  # noqa: F401
+                         graded_rows, memory_panel_weights, power_conv_apply,
+                         power_conv_weights, split_conv)
 from .sonine import SonineData, eval_g2, g2_vanishes, wsc1_report
 
 
@@ -69,8 +69,7 @@ class Forcing:
                    float(value))
 
 
-def manufactured_forcing(pair: KernelPair, weight: Weight, u,
-                         levels: int = 60) -> Forcing:
+def manufactured_forcing(pair: KernelPair, weight: Weight, u) -> Forcing:
     """Forcing for the weighted first-kind equation whose exact solution is
     the expression u(t), computed by graded-panel oracle quadrature."""
     u_ast = parse_expr(u) if isinstance(u, str) else u
@@ -85,7 +84,7 @@ def manufactured_forcing(pair: KernelPair, weight: Weight, u,
             t = np.asarray(t, dtype=float)
             out = np.zeros(t.shape)
             pos = t > 0.0
-            out[pos] = graded_rows(integrand, t[pos], levels)
+            out[pos] = graded_rows(integrand, t[pos], DEFAULT_PANEL_LEVELS)
             return float(out) if out.ndim == 0 else out
         return fn
 
@@ -143,7 +142,6 @@ class SecondKindProblem:
     m: Optional[Callable]            # memory kernel m(y, t), vectorized in y;
                                      # None when it is identically 0
     r: Union[Callable, np.ndarray]   # right-hand side, callable or per-node
-    u0: Optional[float] = None       # known value at t = 0, if any
 
     def rhs_at(self, i: int, t: float) -> float:
         if callable(self.r):
@@ -187,17 +185,14 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
     n = mesh.n
     u = np.zeros(n + 1)
     d = _values(problem.d, t[1:])
-    u0 = problem.u0
-    if u0 is None:
-        try:
-            r0 = problem.rhs_at(0, 0.0)
-            d0 = problem.d(0.0)
-            if np.isfinite(r0) and abs(d0) >= d_min:
-                u0 = r0 / d0
-        except (DomainError, ZeroDivisionError, OverflowError, FloatingPointError):
-            u0 = None
-    if u0 is not None:
-        u[0] = u0
+    u0 = None      # u(0) = r(0)/d(0) when both are usable, else the first panel's
+    try:
+        r0 = problem.rhs_at(0, 0.0)
+        d0 = problem.d(0.0)
+        if np.isfinite(r0) and abs(d0) >= d_min:
+            u0 = u[0] = r0 / d0
+    except (DomainError, ZeroDivisionError, OverflowError, FloatingPointError):
+        pass
 
     for i in range(1, n + 1):
         ti = t[i]
@@ -221,7 +216,7 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
             u[i] = (ri - interior - u[i - 1] * m0) / (di + m1)
         if not np.isfinite(u[i]):
             raise NumericalError(f"non-finite solution value at t = {ti}")
-    if problem.u0 is None and u0 is None:
+    if u0 is None:
         u[0] = u[1]
     return SolveReport(mesh, t, u, meta={"memory_skipped": problem.m is None})
 
@@ -286,27 +281,12 @@ def rhs_K_conv(pair: KernelPair, forcing: Forcing, c: float,
     return r
 
 
+SPLIT_CONV_LEVELS = 40   # graded depth of the right-hand sides' split_conv
+
+
 def _values(fn, x):
     """fn on the array x, with a constant result broadcast to x's shape."""
     return np.broadcast_to(np.asarray(fn(x), dtype=float), np.shape(x))
-
-
-def _split_singular_conv(left_factor, right_lag_factor, t: np.ndarray,
-                         levels: int = 40) -> np.ndarray:
-    """int_0^{t_i} left_factor(s) right_lag_factor(t_i - s) ds for every
-    t_i > 0 in t, where both factors have an integrable singularity at zero
-    argument; split at the midpoint h = t_i/2 and integrate each half in the
-    variable that puts its singularity at zero (never reconstructing a tiny
-    lag by subtraction).  Both halves are one batched graded quadrature over
-    [0, h]; t_i = 2h exactly."""
-    def left(s, h):
-        return np.asarray(left_factor(s)) * np.asarray(right_lag_factor(2.0 * h - s))
-
-    def right(x, h):
-        return np.asarray(left_factor(2.0 * h - x)) * np.asarray(right_lag_factor(x))
-
-    half = 0.5 * np.asarray(t, dtype=float)
-    return graded_rows(left, half, levels) + graded_rows(right, half, levels)
 
 
 def _K_conv_fprime(pair: KernelPair, weight: Weight, forcing: Forcing,
@@ -324,17 +304,17 @@ def _K_conv_fprime(pair: KernelPair, weight: Weight, forcing: Forcing,
         fb = np.concatenate(([0.0], _values(forcing.prime_bulk, t[1:])))
         out = power_conv_apply(beta, t, fb)
         if forcing.u0 != 0.0:
-            out[1:] += forcing.u0 * _split_singular_conv(
+            out[1:] += forcing.u0 * split_conv(
                 lambda s: np.asarray(weight(0.0, s)) * pair.k(s),
-                lambda x: x ** (-beta), t[1:])
+                lambda x: x ** (-beta), t[1:], SPLIT_CONV_LEVELS)
         return out / pair.assoc_norm
 
     if not forcing.prime_singular_at_zero:
         return power_conv_apply(beta, t, _values(forcing.f_prime, t)) / pair.assoc_norm
 
     out = np.zeros(mesh.n + 1)
-    out[1:] = _split_singular_conv(forcing.f_prime, lambda x: x ** (-beta),
-                                   t[1:]) / pair.assoc_norm
+    out[1:] = split_conv(forcing.f_prime, lambda x: x ** (-beta), t[1:],
+                         SPLIT_CONV_LEVELS) / pair.assoc_norm
     return out
 
 
@@ -369,8 +349,7 @@ def transform_first_kind_weighted(problem: FirstKindProblem, data: SonineData,
     return SecondKindProblem(
         d=lambda tt: weight(tt, tt),
         m=_memory(data),
-        r=r,
-        u0=None)
+        r=r)
 
 
 def _memory(data: SonineData, s=None):
@@ -399,8 +378,8 @@ def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
     if forcing.prime_singular_at_zero:
         # s^(-a0) psi(s) at the left end, f'(t_i - s) blowing up at the
         # right end: split graded quadrature, lag variable on the right
-        r[1:] = _split_singular_conv(
-            lambda s: s ** (-pair.alpha0) * psi_fn(s), forcing.f_prime, t[1:])
+        r[1:] = split_conv(lambda s: s ** (-pair.alpha0) * psi_fn(s),
+                           forcing.f_prime, t[1:], SPLIT_CONV_LEVELS)
     else:
         # s -> t_i - s puts the power at the right end and f' on the graded
         # mesh itself, where any weak singularity of f' at zero is resolved;
@@ -413,8 +392,7 @@ def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
     return SecondKindProblem(
         d=lambda tt: g00,
         m=_memory(data, 0.0),
-        r=r,
-        u0=None)
+        r=r)
 
 
 # --------------------------------------------------------------- solvers
@@ -457,8 +435,7 @@ def solve_nonlocal_ode(problem: NonlocalOdeProblem, mesh: Mesh,
         return SecondKindProblem(
             d=lambda tt: weight(tt, tt),
             m=_memory(data),
-            r=rhs_K_conv(problem.pair, problem.forcing, problem.c, mesh),
-            u0=None)
+            r=rhs_K_conv(problem.pair, problem.forcing, problem.c, mesh))
 
     return _solve_timed(build, mesh, data)
 

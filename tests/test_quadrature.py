@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from scipy.special import digamma
 
 from wsonine.errors import NumericalError, ValidationError
-from wsonine.quadrature import (GRADED_ROWS_POINTS, MEMORY_PANEL_LEVELS,
-                                ROW_BLOCK,
-                                MEMORY_PANEL_NODES, Mesh, default_grading,
-                                graded_nodes, graded_panel_quad, graded_rows,
-                                jacobi_rule, lag_rule,
-                                memory_panel_weights, power_conv_apply,
-                                power_conv_rows, power_conv_weights)
+from wsonine.quadrature import (DEFAULT_PANEL_NODES, GRADED_ROWS_POINTS,
+                                MEMORY_PANEL_LEVELS, ROW_BLOCK,
+                                MEMORY_PANEL_NODES, SLIVER_SPREAD, Mesh,
+                                default_grading, graded_nodes,
+                                graded_panel_quad, graded_rows, jacobi_rule,
+                                lag_rule, memory_panel_weights,
+                                power_conv_apply, power_conv_rows,
+                                power_conv_weights, split_conv)
 from wsonine.sonine import SONINE_JACOBI_N, SONINE_JACOBI_POWER
 
 
@@ -349,6 +350,20 @@ ROW_INTEGRANDS = {
 }
 
 
+def sliver_quad(fn, e, levels):
+    """int_0^e fn(z) dz one interval at a time: graded_nodes without its
+    innermost panel [0, eps], and fn(eps) eps / (1 - beta) on it, with
+    fn(eps 2^-SLIVER_SPREAD) / fn(eps) = 2^(SLIVER_SPREAD beta)."""
+    pts, wts = graded_nodes(0.0, e, "left", levels)
+    keep = slice(None, -DEFAULT_PANEL_NODES)
+    eps = e * 0.5 ** levels
+    near = float(np.ravel(fn(np.array([eps])))[0])
+    far = float(np.ravel(fn(np.array([eps * 0.5 ** SLIVER_SPREAD])))[0])
+    beta = math.log2(far / near) / SLIVER_SPREAD if near * far > 0.0 else 0.0
+    vals = np.broadcast_to(fn(pts[keep]), pts[keep].shape)
+    return float(np.dot(wts[keep], vals)) + near * eps / (1.0 - beta)
+
+
 class TestGradedRows:
     @settings(max_examples=40, deadline=None)
     @given(ends=st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=30),
@@ -359,8 +374,7 @@ class TestGradedRows:
         got = graded_rows(fn, ends, levels)
         assert got.shape == (len(ends),)
         for k, e in enumerate(ends):
-            want = graded_panel_quad(lambda z: fn(z, e), 0.0, e, "left",
-                                     levels=levels)
+            want = sliver_quad(lambda z: fn(z, e), e, levels)
             assert got[k] == pytest.approx(want, rel=1e-14, abs=0.0)
             # a row's value does not depend on the rows batched with it
             assert graded_rows(fn, [e], levels)[0] == got[k]
@@ -380,7 +394,25 @@ class TestGradedRows:
 
     def test_exact_on_inverse_sqrt(self):
         got = graded_rows(lambda z, e: z ** -0.5, [0.25, 1.0, 4.0], 60)
-        np.testing.assert_allclose(got, [1.0, 2.0, 4.0], rtol=1e-8)
+        np.testing.assert_allclose(got, [1.0, 2.0, 4.0], rtol=1e-13)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.9, 0.99])
+    def test_sliver_exact_near_one(self, beta):
+        # the sliver [0, e 2^-levels] of z^(-beta) carries a share
+        # 2^(-levels (1 - beta)) of the integral: 66 % at beta = 0.99
+        got = graded_rows(lambda z, e: z ** -beta, [1.0, 3.0], 60)
+        np.testing.assert_allclose(got, np.array([1.0, 3.0]) ** (1 - beta) / (1 - beta),
+                                   rtol=1e-13)
+
+    def test_sliver_sign_change_takes_no_power(self):
+        # fn(eps) > 0 > fn(eps 2^-SLIVER_SPREAD): beta = 0, the sliver is fn(eps) eps
+        cut = 0.5 ** (60 + SLIVER_SPREAD // 2)
+        got = graded_rows(lambda z, e: np.sign(z - cut * e), [1.0], 60)
+        assert np.isfinite(got[0]) and got[0] == pytest.approx(1.0, rel=1e-15)
+
+    def test_non_integrable_power_rejected(self):
+        with pytest.raises(NumericalError, match="not integrable"):
+            graded_rows(lambda z, e: 1.0 / z, [0.5, 1.0], 40)
 
     def test_nonfinite_integrand_rejected(self):
         fn = lambda z, e: np.where((e > 0.5) & (z > 0.5 * e), np.inf, 1.0)
@@ -390,3 +422,20 @@ class TestGradedRows:
     def test_ends_must_be_positive(self):
         with pytest.raises(ValidationError):
             graded_rows(lambda z, e: z, [0.5, 0.0], 60)
+
+
+class TestSplitConv:
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("levels", [40, 60])
+    def test_beta_function_closed_form(self, alpha, levels):
+        # int_0^t s^(-alpha) (t - s)^(alpha - 1) ds = B(1 - alpha, alpha)
+        got = split_conv(lambda s: s ** -alpha, lambda x: x ** (alpha - 1.0),
+                         [1e-3, 0.3, 1.0, 2.0], levels)
+        np.testing.assert_allclose(got, math.pi / math.sin(math.pi * alpha),
+                                   rtol=1e-12)
+
+    def test_factors_keep_their_sides(self):
+        # int_0^t s^(-1/2) (t - s) ds = (4/3) t^(3/2): left at s, right at the lag
+        t = np.array([0.25, 1.0, 4.0])
+        got = split_conv(lambda s: s ** -0.5, lambda x: x, t, 40)
+        np.testing.assert_allclose(got, 4.0 / 3.0 * t ** 1.5, rtol=1e-13)

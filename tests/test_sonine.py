@@ -63,6 +63,25 @@ class TestCscResidual:
             csc_residual(const_data, 0.0)
         with pytest.raises(DomainError):
             csc_residual(const_data, 2.0)
+        with pytest.raises(DomainError):
+            csc_residual(const_data, [0.5, 0.0])
+
+    def test_array_of_t_matches_scalar_calls(self, const_data):
+        ts = [0.1 * k for k in range(1, 11)]
+        got = csc_residual(const_data, ts)
+        assert got.shape == (10,)
+        assert got.tolist() == [csc_residual(const_data, t) for t in ts]
+        assert csc_residual(const_data, np.array([[0.2, 0.4]])).shape == (1, 2)
+
+    @pytest.mark.parametrize("alpha", ["0.9", "0.95", "0.99"])
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_identities_near_alpha_one(self, alpha, normalized):
+        # the references' sliver carries most of k's share as alpha -> 1
+        data = SonineData.make(KernelPair.make(alpha, normalized=normalized),
+                               Weight.from_expr("1 + s*t"))
+        assert csc_residual(data, [0.1 * k for k in range(1, 11)]).max() <= 1e-13
+        assert wsc1_report(data).max_residual <= 1e-13
+        assert wsc2_report(data).max_residual <= 1e-13
 
 
 class TestEvalG:

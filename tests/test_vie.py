@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wsonine import vie
 from wsonine.errors import DomainError, NumericalError, ValidationError
 from wsonine.kernels import KernelPair, Weight
-from wsonine.quadrature import Mesh, graded_panel_quad, power_conv_rows
+from wsonine.quadrature import Mesh, power_conv_rows, split_conv
 from wsonine.sonine import SonineData
 from wsonine.vie import (FirstKindProblem, Forcing, NonlocalOdeProblem,
                          SecondKindProblem, construct_csc_associate,
@@ -64,6 +64,13 @@ class TestManufacturedForcing:
             assert fc.f(t) == pytest.approx(want, rel=1e-9)
         assert fc.prime_singular_at_zero
         assert fc.has_prime_split and fc.u0 == 1.0
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 0.9, 0.95, 0.99])
+    def test_value_oracle_closed_form_near_one(self, alpha):
+        # u = 1, w = 1, k = s^(-alpha): f(t) = t^(1-alpha) / (1-alpha)
+        fc = manufactured_forcing(KernelPair.make(str(alpha)), Weight.from_expr("1"), "1")
+        t = np.array([1e-6, 0.3, 1.0])
+        np.testing.assert_allclose(fc.f(t), t ** (1 - alpha) / (1 - alpha), rtol=1e-12)
 
     def test_prime_matches_fd_of_f(self, const_pair, bilinear):
         fc = manufactured_forcing(const_pair, bilinear, "1 + t")
@@ -255,6 +262,22 @@ class TestFirstKind:
         orders = observed_orders(errs)[1:]
         assert min(orders) >= 1.9, orders
 
+    @pytest.mark.parametrize("alpha", ["0.9", "0.9 + 0.05*t"])
+    def test_weighted_second_order_near_alpha_one(self, bilinear, alpha):
+        # u = 1 + t: the boundary part u(0) k of f' is integrated by
+        # split_conv, whose sliver takes most of the integral as alpha -> 1
+        pair = KernelPair.make(alpha, b=1.0)
+        prob = FirstKindProblem(pair, bilinear, manufactured_forcing(pair, bilinear, "1 + t"))
+        data = SonineData.make(pair, bilinear)
+        errs = []
+        for n in (64, 128, 256):
+            mesh = Mesh(1.0, n, 4.0)
+            errs.append(max_node_error(mesh, solve_first_kind(prob, mesh, data).u,
+                                       lambda t: 1.0 + t))
+        assert errs[0] <= 1e-3
+        orders = observed_orders(errs)[1:]
+        assert min(orders) >= 1.9, orders
+
     def test_residuals_small(self, const_pair, bilinear, const_data):
         fc = manufactured_forcing(const_pair, bilinear, "1 + t")
         prob = FirstKindProblem(const_pair, bilinear, fc)
@@ -270,17 +293,9 @@ class TestFirstKind:
             solve_first_kind(prob, Mesh(1.0, 8, 4.0))
 
 
-def split_conv_reference(left_factor, right_lag_factor, ti, levels=40):
-    """int_0^ti left(s) right(ti - s) ds as two graded quadratures split at
-    ti/2, one interval at a time."""
-    h = 0.5 * ti
-    left = graded_panel_quad(
-        lambda s: np.asarray(left_factor(s)) * np.asarray(right_lag_factor(ti - s)),
-        0.0, h, "left", levels=levels)
-    right = graded_panel_quad(
-        lambda x: np.asarray(left_factor(ti - x)) * np.asarray(right_lag_factor(x)),
-        0.0, ti - h, "left", levels=levels)
-    return left + right
+def split_conv_reference(left_factor, right_lag_factor, ti):
+    """int_0^ti left(s) right(ti - s) ds by split_conv on the one node ti."""
+    return split_conv(left_factor, right_lag_factor, [ti], vie.SPLIT_CONV_LEVELS)[0]
 
 
 def k_kernel_rhs_reference(problem, mesh):
