@@ -152,8 +152,12 @@ class TestSecondKindEngine:
         with pytest.raises(NumericalError):
             solve_second_kind(prob, Mesh(1.0, 8))
 
-    @given(n=st.integers(2, 48), grading=st.floats(1.0, 4.0),
-           a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
+    # nonzero coefficients stay far above the subnormal range: a subnormal
+    # multiple of r is itself rounded to ~1e-11 relative, and the scaled
+    # atol below underflows to 0, so no linear solver could pass there
+    COEF = st.one_of(st.just(0.0), st.floats(1e-200, 3.0), st.floats(-3.0, -1e-200))
+
+    @given(n=st.integers(2, 48), grading=st.floats(1.0, 4.0), a=COEF, b=COEF)
     @settings(max_examples=40, deadline=None)
     def test_linear_in_rhs(self, n, grading, a, b):
         # d u + int (t-y)^(-1/2) (1 + y t) u(y) dy = r: u depends linearly on r
