@@ -177,6 +177,7 @@ def cmd_solve(cfg: RunConfig, kind: str, out_dir: str) -> int:
     summary = {"command": "solve", "status": "ok", "kind": kind,
                "jacobi_nodes": rep.meta["jacobi_nodes"],
                "memory_skipped": rep.meta["memory_skipped"],
+               "memory_points": rep.meta["memory_points"],
                "timings": rep.meta["timings"]}
     if max_res is not None:
         summary["max_residual"] = max_res

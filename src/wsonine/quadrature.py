@@ -12,8 +12,10 @@ Four tools, all serving integrals whose singular factor is known a priori:
   with an open innermost panel, or batched over the upper ends of [0, e]
   with the innermost sliver taken against its measured power (graded_rows),
   two of which make a split convolution of two singularities (split_conv);
-* the steppers' memory quadrature, hat-function weights per panel built
-  from the last two.
+* the steppers' memory quadrature: hat-function weights per panel, built
+  in blocks of rows with one kernel call per block, 2-point Gauss on the
+  interior panels and, on the newest panel, Gauss-Legendre in v after the
+  substitution x = tau v^p that jacobi_rule also makes (lag_rule).
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from .kernels import gamma
 
 DEFAULT_PANEL_LEVELS = 60
 DEFAULT_PANEL_NODES = 16
-# graded rule on the newest memory panel of the steppers, in the lag variable
-MEMORY_PANEL_LEVELS = 30
-MEMORY_PANEL_NODES = 8
+# rule on the newest memory panel of the steppers, in the lag variable:
+# MEMORY_PANEL_NODES-point Gauss-Legendre in v, x = tau v^MEMORY_PANEL_POWER
+MEMORY_PANEL_NODES = 16
+MEMORY_PANEL_POWER = 8
 # points per integrand call of graded_rows
 GRADED_ROWS_POINTS = 8192
 # graded_rows measures the sliver's power between eps and eps 2^-SLIVER_SPREAD;
@@ -245,11 +248,24 @@ def graded_nodes(a: float, b: float, singular_end: str = "left",
     return pts, wts
 
 
-def lag_rule(tau: float):
-    """graded_nodes(0, tau, "left") at the memory-panel size, scaled from
-    one unit rule built once."""
-    x, w = _unit_rule(MEMORY_PANEL_LEVELS, MEMORY_PANEL_NODES)
+def lag_rule(tau):
+    """Nodes and weights for int_0^tau f(x) dx, f singular like ln x or a
+    power x^(-beta) at x = 0: Gauss-Legendre in v on (0, 1) after
+    x = tau v^p, p = MEMORY_PANEL_POWER, which turns x^(-beta) dx into the
+    smooth p tau^(1-beta) v^(p(1-beta)-1) dv.  tau may be an array; the
+    rule runs along a new last axis."""
+    x, w = _lag_unit_rule()
+    tau = np.asarray(tau, dtype=float)[..., None]
     return tau * x, tau * w
+
+
+@lru_cache(maxsize=1)
+def _lag_unit_rule():
+    """lag_rule(1)."""
+    g, w = _leggauss(MEMORY_PANEL_NODES)
+    v = 0.5 * (g + 1.0)
+    p = MEMORY_PANEL_POWER
+    return v ** p, 0.5 * p * v ** (p - 1) * w
 
 
 @lru_cache(maxsize=8)
@@ -316,36 +332,68 @@ def split_conv(left, right, ends, levels: int) -> np.ndarray:
     return graded_rows(near_left, half, levels) + graded_rows(near_right, half, levels)
 
 
-def memory_panel_weights(m, t: np.ndarray, i: int):
-    """Row i of the steppers' memory quadrature: arrays m0, m1 of length i
-    with
+def memory_panel_weights(m, t: np.ndarray, a: int, b: int):
+    """Rows a..b-1 of the steppers' memory quadrature, as two (b-a, b-1)
+    blocks w0, w1 with
 
-        int_0^{t_i} m(y, t_i - y) uhat(y) dy = m0 @ u[:i] + m1 @ u[1:i+1]
+        int_0^{t_i} m(y, t_i - y) uhat(y) dy = w0[i-a, :i] @ u[:i]
+                                              + w1[i-a, :i] @ u[1:i+1]
 
-    for the piecewise-linear interpolant uhat of the nodal values u, i.e. the
-    weights of the two hat functions on each panel.  Interior panels use
-    2-point Gauss; the newest panel, where m may be singular at zero lag,
-    uses lag_rule in x = t_i - y, so the lag m receives there is exact.
-    m(y, x) is called once, on arrays of nodes y and their lags x.
+    for the piecewise-linear interpolant uhat of the nodal values u, i.e.
+    the weights of the two hat functions on each panel; row 0 and the
+    entries j >= i are 0.  Interior panels use 2-point Gauss; the newest
+    panel of row i, where m may be singular at zero lag, uses
+    lag_rule(t_i - t_{i-1}) in x = t_i - y, and m receives those lags
+    exactly.  m(y, x) is called once, on 1-D arrays of the nodes y of every
+    row in the block and their lags x.
     """
-    ti = t[i]
+    if not 0 <= a < b <= len(t):
+        raise ValidationError(f"row block [{a}, {b}) outside 0..{len(t)}")
+    w0 = np.zeros((b - a, b - 1))
+    w1 = np.zeros((b - a, b - 1))
+    rows = np.arange(max(a, 1), b)
+    if rows.size == 0:
+        return w0, w1
+    ti = t[rows]
+    # panel j < i - 1 is interior to row i; its Gauss nodes do not depend on
+    # i, so row i's interior nodes are the first 2(i-1) of ys
     gx, gw = _leggauss(2)
-    lo, hi = t[: i - 1], t[1:i]
+    lo, hi = t[: b - 2], t[1 : b - 1]
     half = 0.5 * (hi - lo)
     ys = 0.5 * (hi + lo)[:, None] + half[:, None] * gx[None, :]
-    xs, xw = lag_rule(ti - t[i - 1])
-    vals = np.asarray(m(np.concatenate((ys.ravel(), ti - xs)),
-                        np.concatenate(((ti - ys).ravel(), xs))), dtype=float)
-    newest = vals[ys.size:]
-    if not np.all(np.isfinite(newest)):
-        raise NumericalError(f"non-finite memory kernel near t = {ti}")
-    interior = vals[: ys.size].reshape(ys.shape) * (half[:, None] * gw[None, :])
     frac = (ys - lo[:, None]) / (hi - lo)[:, None]
+    counts = 2 * (rows - 1)
+    y_in = np.concatenate([ys.ravel()[:c] for c in counts])
+    tau = ti - t[rows - 1]
+    xs, xw = lag_rule(tau)
+    vals = np.asarray(m(np.concatenate((y_in, (ti[:, None] - xs).ravel())),
+                        np.concatenate((np.repeat(ti, counts) - y_in, xs.ravel()))),
+                      dtype=float)
+    newest = vals[y_in.size:].reshape(xs.shape)
+    bad = ~np.all(np.isfinite(newest), axis=1)
+    if np.any(bad):
+        raise NumericalError(f"non-finite memory kernel near t = {ti[bad][0]}")
+    # the interior panels of every row on one (rows, b-2, 2) grid, 0 where a
+    # panel is not interior to the row
+    interior = np.zeros((rows.size, b - 2, 2))
+    flat = interior.reshape(rows.size, -1)
+    for r, (c, end) in enumerate(zip(counts, np.cumsum(counts))):
+        flat[r, :c] = vals[end - c : end]
+    interior *= half[:, None] * gw[None, :]
+    left = interior * (1.0 - frac)   # each panel's share of its left node
+    w0[rows[0] - a :, :-1] = left[..., 0] + left[..., 1]
+    interior *= frac
+    w1[rows[0] - a :, :-1] = interior[..., 0] + interior[..., 1]
     newest = xw * newest
-    frac_last = xs / (ti - t[i - 1])   # u_{i-1} sits at lag x = tau
-    m0 = np.append(np.sum(interior * (1.0 - frac), axis=1), np.dot(newest, frac_last))
-    m1 = np.append(np.sum(interior * frac, axis=1), np.dot(newest, 1.0 - frac_last))
-    return m0, m1
+    frac_last = xs / tau[:, None]   # u_{i-1} sits at lag x = tau
+    w0[rows - a, rows - 1] = _rowdot(newest, frac_last)
+    w1[rows - a, rows - 1] = _rowdot(newest, 1.0 - frac_last)
+    return w0, w1
+
+
+def _rowdot(p, q):
+    """np.dot of each row of p with the same row of q, with its bits."""
+    return np.matmul(p[:, None, :], q[:, :, None])[:, 0, 0]
 
 
 def graded_panel_quad(fn, a: float, b: float, singular_end: str = "left",

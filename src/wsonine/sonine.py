@@ -315,7 +315,7 @@ def associate_from_wsc2(data: SonineData, mesh,
 
     # G2(0, .) is a (1 - z)-weighted mean of w_t(0, .): zero with g2(0, .)
     memory = (None if g2_vanishes(pair, weight, 0.0)
-              else lambda y, t: eval_G2(data, 0.0, t - y))
+              else lambda y, x: eval_G2(data, 0.0, x))
     problem = vie.SecondKindProblem(d=lambda t: G00, m=memory,
                                     r=lambda t: float(weight(0.0, t)) * pair.K(t))
     rep = vie.solve_second_kind(problem, mesh)

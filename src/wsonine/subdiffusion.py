@@ -20,7 +20,8 @@ of step i is sum_j a_ij V_j over j <= i (row i still holds f(t_i) alone).
 The steps run in blocks of quadrature.ROW_BLOCK: for a block [a, b) the L1
 rows a..b-1 are built, the far part (columns < a) is one matrix product
 before the block, and each step adds its near part over columns a..i.  The
-memory term, when g2 does not vanish, stays one row c_i @ u[:i] per step.
+memory term, when g2 does not vanish, is one row c_i @ u[:i] per step from
+the block's memory_panel_weights rows, whose g2 points are one eval_g2 call.
 f is evaluated once per block of time nodes.
 """
 
@@ -176,6 +177,13 @@ def solve_subdiffusion(config: PdeConfig,
     # once u_j is known
     hist = np.empty((n + 1, m))
     forcing_s = 0.0
+    points = 0
+
+    def memory(y, x):
+        nonlocal points
+        points += y.size
+        return eval_g2(data, y, x)
+
     started = time.perf_counter()
 
     for a in range(0, n + 1, ROW_BLOCK):
@@ -187,6 +195,8 @@ def solve_subdiffusion(config: PdeConfig,
             hist[0] += lap(u[0])
         lw = l1_weights(pair.alpha0, t, a, b, pair.assoc_norm)
         far = lw[:, :a] @ hist[:a]
+        if not memory_skipped:
+            w0, w1 = memory_panel_weights(memory, t, a, b)
 
         for i in range(max(a, 1), b):
             gi = gdiag[i]
@@ -194,13 +204,11 @@ def solve_subdiffusion(config: PdeConfig,
             acc = far[i - a] + lw[i - a, a:i + 1] @ hist[a:i + 1]
             b_last = 0.0
             if not memory_skipped:
-                m0, m1 = memory_panel_weights(
-                    lambda y, lag: eval_g2(data, y, lag), t, i)
                 # B_j = int over panel j of g2(s, t_i - s) ds.  The memory
                 # term -sum_{j<i-1} B_j (u_{j+1} - u_j)/tau_j
                 # + B_{i-1} u_{i-1}/tau_{i-1} regrouped by u_j: the
                 # coefficients are differences of B_j / tau_j
-                b_panels = m0 + m1
+                b_panels = w0[i - a, :i] + w1[i - a, :i]
                 acc += np.diff(b_panels / tau[:i], prepend=0.0) @ u[:i]
                 b_last = b_panels[i - 1]
             rhs = u[i - 1] / tau[i - 1] + acc / gi
@@ -233,6 +241,7 @@ def solve_subdiffusion(config: PdeConfig,
     return PdeSolution(x, t.copy(), u, solve_res,
                        meta={"m": m, "n": n, "jacobi_nodes": data.rule.n,
                              "memory_skipped": memory_skipped,
+                             "memory_points": points,
                              "history_block": ROW_BLOCK,
                              "timings": {"forcing_s": forcing_s,
                                          "stepping_s": stepping_s}})

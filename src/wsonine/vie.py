@@ -24,9 +24,9 @@ from .errors import DomainError, NumericalError, ValidationError
 from .expr import ExprAst, as_function, diff_expr, parse_expr
 from .kernels import KernelPair, Weight
 # graded_panel_quad stays bound here: the benchmark's span tracer patches it
-from .quadrature import (DEFAULT_PANEL_LEVELS, Mesh, graded_panel_quad,  # noqa: F401
-                         graded_rows, memory_panel_weights, power_conv_apply,
-                         power_conv_weights, split_conv)
+from .quadrature import (DEFAULT_PANEL_LEVELS, ROW_BLOCK, Mesh,  # noqa: F401
+                         graded_panel_quad, graded_rows, memory_panel_weights,
+                         power_conv_apply, power_conv_weights, split_conv)
 from .sonine import SonineData, eval_g2, g2_vanishes, wsc1_report
 
 
@@ -139,8 +139,9 @@ class NonlocalOdeProblem:
 @dataclass
 class SecondKindProblem:
     d: Callable                      # diagonal d(t), called on the nodes
-    m: Optional[Callable]            # memory kernel m(y, t), vectorized in y;
-                                     # None when it is identically 0
+    m: Optional[Callable]            # memory kernel m(y, x) at the lag
+                                     # x = t - y, on 1-D arrays of nodes
+                                     # and lags; None when identically 0
     r: Union[Callable, np.ndarray]   # right-hand side, callable or per-node
 
     def rhs_at(self, i: int, t: float) -> float:
@@ -178,9 +179,11 @@ class SolveReport:
 def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
                       d_min: float = 1e-12) -> SolveReport:
     """Time-stepping product integration: piecewise-linear solution, memory
-    term by quadrature.memory_panel_weights (2-point Gauss on interior panels,
-    graded quadrature in the lag variable on the panel touching the
-    singularity of m at y = t), skipped when m is None."""
+    term by quadrature.memory_panel_weights, read ROW_BLOCK rows at a time
+    (2-point Gauss on interior panels, lag_rule in the lag variable on the
+    panel touching the singularity of m at y = t), skipped when m is None.
+    m(y, x) gets the exact lags x = t_i - y of the builder;
+    meta["memory_points"] counts the points it was evaluated at."""
     t = mesh.points
     n = mesh.n
     u = np.zeros(n + 1)
@@ -194,31 +197,43 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
     except (DomainError, ZeroDivisionError, OverflowError, FloatingPointError):
         pass
 
-    for i in range(1, n + 1):
-        ti = t[i]
-        di = float(d[i - 1])
-        if abs(di) < d_min:
-            raise NumericalError(f"diagonal coefficient below {d_min} at t = {ti}")
-        ri = problem.rhs_at(i, ti)
-        if problem.m is None:
-            interior, m0, m1 = 0.0, 0.0, 0.0
-        else:
-            w0, w1 = memory_panel_weights(lambda y, x: problem.m(y, ti), t, i)
-            # every panel but the newest acts on known values; on the newest,
-            # m0 multiplies u_{i-1} and m1 the unknown u_i
-            interior = float(w0[:-1] @ u[: i - 1] + w1[:-1] @ u[1:i])
-            m0, m1 = w0[-1], w1[-1]
+    points = 0
 
-        if i == 1 and u0 is None:
-            # constant extension over the first panel
-            u[1] = (ri - interior) / (di + m0 + m1)
-        else:
-            u[i] = (ri - interior - u[i - 1] * m0) / (di + m1)
-        if not np.isfinite(u[i]):
-            raise NumericalError(f"non-finite solution value at t = {ti}")
+    def memory(y, x):
+        nonlocal points
+        points += y.size
+        return problem.m(y, x)
+
+    for a in range(0, n + 1, ROW_BLOCK):
+        b = min(a + ROW_BLOCK, n + 1)
+        if problem.m is not None:
+            w0, w1 = memory_panel_weights(memory, t, a, b)
+        for i in range(max(a, 1), b):
+            ti = t[i]
+            di = float(d[i - 1])
+            if abs(di) < d_min:
+                raise NumericalError(f"diagonal coefficient below {d_min} at t = {ti}")
+            ri = problem.rhs_at(i, ti)
+            if problem.m is None:
+                interior, m0, m1 = 0.0, 0.0, 0.0
+            else:
+                r0, r1 = w0[i - a, :i], w1[i - a, :i]
+                # every panel but the newest acts on known values; on the
+                # newest, m0 multiplies u_{i-1} and m1 the unknown u_i
+                interior = float(r0[:-1] @ u[: i - 1] + r1[:-1] @ u[1:i])
+                m0, m1 = r0[-1], r1[-1]
+
+            if i == 1 and u0 is None:
+                # constant extension over the first panel
+                u[1] = (ri - interior) / (di + m0 + m1)
+            else:
+                u[i] = (ri - interior - u[i - 1] * m0) / (di + m1)
+            if not np.isfinite(u[i]):
+                raise NumericalError(f"non-finite solution value at t = {ti}")
     if u0 is None:
         u[0] = u[1]
-    return SolveReport(mesh, t, u, meta={"memory_skipped": problem.m is None})
+    return SolveReport(mesh, t, u, meta={"memory_skipped": problem.m is None,
+                                         "memory_points": points})
 
 
 # ----------------------------------------------------- mesh/metric helpers
@@ -353,10 +368,11 @@ def transform_first_kind_weighted(problem: FirstKindProblem, data: SonineData,
 
 
 def _memory(data: SonineData, s=None):
-    """m(y, t) = g2(s, t - y), s = y when None; None when g2(s, .) vanishes."""
+    """m(y, x) = g2(s, x) at the lag x, s = y when None; None when g2(s, .)
+    vanishes."""
     if g2_vanishes(data.pair, data.weight, s):
         return None
-    return lambda y, tt: eval_g2(data, y if s is None else s, tt - y)
+    return lambda y, x: eval_g2(data, y if s is None else s, x)
 
 
 def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,

@@ -6,6 +6,7 @@ from wsonine.cli import main
 from wsonine.kernels import KernelPair
 from wsonine.config import RunConfig, parse_sections
 from wsonine.errors import ConfigError
+from wsonine.quadrature import MEMORY_PANEL_NODES
 from wsonine.sonine import SONINE_JACOBI_N
 
 ODE_SQRT = """
@@ -319,6 +320,7 @@ r = 4
         summary, _ = last_json(capsys)
         assert code == 0
         assert summary["memory_skipped"] is True
+        assert summary["memory_points"] == 0
         assert summary["error"] <= 5e-3
 
     def test_vie1_variable_exponent_keeps_memory(self, tmp_path, capsys):
@@ -341,6 +343,7 @@ r = 4
         summary, _ = last_json(capsys)
         assert code == 0
         assert summary["memory_skipped"] is False
+        assert summary["memory_points"] == 16 * 15 + MEMORY_PANEL_NODES * 16
         assert summary["jacobi_nodes"] == SONINE_JACOBI_N
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):

@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from scipy.special import digamma
 
 from wsonine.errors import NumericalError, ValidationError
+from wsonine.kernels import KernelPair, Weight
 from wsonine.quadrature import (DEFAULT_PANEL_NODES, GRADED_ROWS_POINTS,
-                                MEMORY_PANEL_LEVELS, ROW_BLOCK,
-                                MEMORY_PANEL_NODES, SLIVER_SPREAD, Mesh,
-                                default_grading, graded_nodes,
+                                MEMORY_PANEL_NODES, ROW_BLOCK, SLIVER_SPREAD,
+                                Mesh, default_grading, graded_nodes,
                                 graded_panel_quad, graded_rows, jacobi_rule,
                                 lag_rule, memory_panel_weights,
                                 power_conv_apply, power_conv_rows,
                                 power_conv_weights, split_conv)
-from wsonine.sonine import SONINE_JACOBI_N, SONINE_JACOBI_POWER
+from wsonine.sonine import (SONINE_JACOBI_N, SONINE_JACOBI_POWER, SonineData,
+                            eval_g2)
 
 
 def power_moment(beta, upper):
@@ -272,43 +273,142 @@ class TestPowerConvMatrix:
                 power_conv_rows(0.5, t, a, b)
 
 
+def lag_closed_forms(tau):
+    """(integrand, int_0^tau integrand dx) pairs with a log or power
+    singularity at x = 0."""
+    ln = math.log(tau)
+    return [
+        (np.ones_like, tau),
+        (lambda x: x ** 3, tau ** 4 / 4),
+        (np.log, tau * ln - tau),
+        (lambda x: x * np.log(x), tau * tau * ln / 2 - tau * tau / 4),
+        (lambda x: x * np.log(x) ** 2, tau * tau * (ln * ln - ln + 0.5) / 2),
+        (lambda x: x ** -0.5, 2.0 * math.sqrt(tau)),
+    ]
+
+
 class TestLagRule:
     @pytest.mark.parametrize("tau", [1.0, 0.37, 1e-7])
-    def test_scaled_unit_rule_matches_direct_build(self, tau):
+    @pytest.mark.parametrize("k", range(6))
+    def test_closed_forms(self, tau, k):
+        fn, want = lag_closed_forms(tau)[k]
         xs, xw = lag_rule(tau)
-        want_x, want_w = graded_nodes(0.0, tau, "left", MEMORY_PANEL_LEVELS,
-                                      MEMORY_PANEL_NODES)
-        np.testing.assert_allclose(xs, want_x, rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(xw, want_w, rtol=1e-14, atol=0.0)
-        assert xw.sum() == pytest.approx(tau, rel=1e-14)
+        assert xs.shape == xw.shape == (MEMORY_PANEL_NODES,)
+        assert 0.0 < xs.min() and xs.max() < tau
+        assert float(np.dot(xw, fn(xs))) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", ["0.5", "0.5 + 0.1*t", "0.5 + 0.2*sin(t)",
+                                       "0.3 + 0.4*t", "0.05 + 0.9*t",
+                                       "0.95 - 0.9*t"])
+    def test_newest_panel_of_g2_against_fine_rule(self, alpha):
+        # the newest panel's (m0, m1) for m = g2 against 80-node
+        # Gauss-Legendre in x = tau v^10, on panels of the N = 64..1024 meshes
+        g, gw = np.polynomial.legendre.leggauss(80)
+        v = 0.5 * (g + 1.0)
+        fine = (v ** 10, 5.0 * v ** 9 * gw)
+
+        def moments(data, ti, tau, rule):
+            xs, xw = tau * rule[0], tau * rule[1]
+            vals = xw * eval_g2(data, ti - xs, xs)
+            return np.array([vals @ (xs / tau), vals @ (1.0 - xs / tau)])
+
+        worst = 0.0
+        for w in ("1 + s*t", "1 + 0.5*s*t", "exp(-(t - s))"):
+            for normalized in (False, True):
+                data = SonineData.make(KernelPair.make(alpha, normalized=normalized),
+                                       Weight.from_expr(w))
+                for r in (1.0, 2.0, 4.0):
+                    for n in (64, 128, 256, 512, 1024):
+                        t = Mesh(1.0, n, r).points
+                        for i in (1, 2, 3, n // 2, n):
+                            tau = t[i] - t[i - 1]
+                            got = moments(data, t[i], tau, lag_rule(1.0))
+                            want = moments(data, t[i], tau, fine)
+                            worst = max(worst, np.max(np.abs(got - want))
+                                        / np.max(np.abs(want)))
+        assert worst <= 1e-13
+
+
+def memory_row_reference(m, t, i):
+    """Row i of memory_panel_weights as the per-row builder made it: arrays
+    m0, m1 of length i from one m call on the row's nodes."""
+    ti = t[i]
+    gx, gw = np.polynomial.legendre.leggauss(2)
+    lo, hi = t[: i - 1], t[1:i]
+    half = 0.5 * (hi - lo)
+    ys = 0.5 * (hi + lo)[:, None] + half[:, None] * gx[None, :]
+    xs, xw = lag_rule(ti - t[i - 1])
+    vals = np.asarray(m(np.concatenate((ys.ravel(), ti - xs)),
+                        np.concatenate(((ti - ys).ravel(), xs))), dtype=float)
+    newest = vals[ys.size:]
+    interior = vals[: ys.size].reshape(ys.shape) * (half[:, None] * gw[None, :])
+    frac = (ys - lo[:, None]) / (hi - lo)[:, None]
+    newest = xw * newest
+    frac_last = xs / (ti - t[i - 1])
+    m0 = np.append(np.sum(interior * (1.0 - frac), axis=1), np.dot(newest, frac_last))
+    m1 = np.append(np.sum(interior * frac, axis=1), np.dot(newest, 1.0 - frac_last))
+    return m0, m1
 
 
 class TestMemoryPanelWeights:
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.floats(1.0, 4.0), n=st.integers(1, 80), data=st.data())
+    def test_blocks_are_the_per_row_reference(self, r, n, data):
+        # any block a..b-1 has the bits of the per-row builder, from one
+        # kernel call on the nodes of all its rows
+        t = Mesh(1.0, n, r).points
+        a = data.draw(st.integers(0, n))
+        b = data.draw(st.integers(a + 1, n + 1))
+        calls = []
+
+        def m(y, x):
+            calls.append(y.size)
+            return np.exp(-y) * x ** -0.5 * (1.0 + y * x) + np.log(x)
+
+        w0, w1 = memory_panel_weights(m, t, a, b)
+        assert w0.shape == w1.shape == (b - a, b - 1)
+        assert len(calls) == (b > 1)
+        for i in range(a, b):
+            m0, m1 = memory_row_reference(m, t, i) if i else ([], [])
+            np.testing.assert_array_equal(w0[i - a, :i], m0)
+            np.testing.assert_array_equal(w1[i - a, :i], m1)
+            assert not np.any(w0[i - a, i:]) and not np.any(w1[i - a, i:])
+
     @pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
     def test_exact_on_cubic_integrand(self, r):
         # m(y, x) = y x and u = t: int_0^t y (t - y) y dy = t^4 / 12
         t = Mesh(1.0, 24, r).points
+        w0, w1 = memory_panel_weights(lambda y, x: y * x, t, 0, len(t))
         for i in range(1, len(t)):
-            m0, m1 = memory_panel_weights(lambda y, x: y * x, t, i)
-            assert m0.shape == m1.shape == (i,)
-            got = m0 @ t[:i] + m1 @ t[1 : i + 1]
+            got = w0[i, :i] @ t[:i] + w1[i, :i] @ t[1 : i + 1]
             assert got == pytest.approx(t[i] ** 4 / 12, rel=1e-13, abs=0.0)
 
     def test_newest_panel_gets_the_exact_lag(self):
         t = Mesh(1.0, 16, 4.0).points
-        for i in (1, 2, 9, 16):
+        for a, b in [(0, 17), (1, 2), (9, 10), (16, 17), (3, 12)]:
             calls = []
             memory_panel_weights(lambda y, x: calls.append((y, x)) or np.ones_like(y),
-                                 t, i)
+                                 t, a, b)
             (y, x), = calls
-            xs, _ = lag_rule(t[i] - t[i - 1])
-            assert np.array_equal(x[-len(xs):], xs)
-            assert np.array_equal(y[-len(xs):], t[i] - xs)
+            rows = np.arange(max(a, 1), b)
+            newest = MEMORY_PANEL_NODES * rows.size
+            xs = x[-newest:].reshape(rows.size, -1)
+            ys = y[-newest:].reshape(rows.size, -1)
+            for k, i in enumerate(rows):
+                assert np.array_equal(xs[k], lag_rule(t[i] - t[i - 1])[0])
+                assert np.array_equal(ys[k], t[i] - xs[k])
 
     def test_nonfinite_newest_panel_rejected(self):
         t = Mesh(1.0, 4).points
-        with pytest.raises(NumericalError):
-            memory_panel_weights(lambda y, x: np.full_like(y, np.inf), t, 2)
+        for a, b in [(2, 3), (0, 5)]:
+            with pytest.raises(NumericalError):
+                memory_panel_weights(lambda y, x: np.full_like(y, np.inf), t, a, b)
+
+    def test_validation(self):
+        t = Mesh(1.0, 4).points
+        for a, b in [(-1, 3), (3, 3), (4, 3), (0, 6)]:
+            with pytest.raises(ValidationError):
+                memory_panel_weights(lambda y, x: np.ones_like(y), t, a, b)
 
 
 class TestGradedPanelQuad:

@@ -7,7 +7,8 @@ import pytest
 from wsonine import subdiffusion
 from wsonine.errors import NumericalError, ValidationError
 from wsonine.kernels import KernelPair, Weight, gamma
-from wsonine.quadrature import ROW_BLOCK, Mesh, memory_panel_weights
+from wsonine.quadrature import (MEMORY_PANEL_NODES, ROW_BLOCK, Mesh,
+                                memory_panel_weights)
 from wsonine.sonine import SonineData, eval_g2
 from wsonine.subdiffusion import (PdeConfig, PdeSolution, l1_weights,
                                   solve_subdiffusion)
@@ -55,8 +56,9 @@ def row_by_row_solve(cfg):
     u[0] = cfg.initial(x)
     for i in range(1, n + 1):
         gi = float(cfg.weight(t[i], t[i]))
-        m0, m1 = memory_panel_weights(lambda y, lag: eval_g2(data, y, lag), t, i)
-        b_panels = m0 + m1
+        m0, m1 = memory_panel_weights(lambda y, lag: eval_g2(data, y, lag),
+                                      t, i, i + 1)
+        b_panels = m0[0, :i] + m1[0, :i]
         c = np.diff(b_panels / tau[:i], prepend=0.0)
         rhs = u[i - 1] / tau[i - 1] + (c @ u[:i] + lap @ (lw[i, :i] @ u[:i])
                                        + lw[i] @ f) / gi
@@ -235,6 +237,9 @@ class TestSolver:
                 evaluated = solve_subdiffusion(cfg)
             assert skipped.meta["memory_skipped"]
             assert not evaluated.meta["memory_skipped"]
+            assert skipped.meta["memory_points"] == 0
+            assert (evaluated.meta["memory_points"]
+                    == n * (n - 1) + MEMORY_PANEL_NODES * n)
             np.testing.assert_array_equal(skipped.u, evaluated.u)
 
     @pytest.mark.parametrize("alpha, w", [("0.5", "1"), ("0.5", "1 + s*t"),

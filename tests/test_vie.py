@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from wsonine import vie
 from wsonine.errors import DomainError, NumericalError, ValidationError
 from wsonine.kernels import KernelPair, Weight
-from wsonine.quadrature import Mesh, power_conv_rows, split_conv
+from wsonine.quadrature import (MEMORY_PANEL_NODES, Mesh, lag_rule,
+                                power_conv_rows, split_conv)
 from wsonine.sonine import SonineData
 from wsonine.vie import (FirstKindProblem, Forcing, NonlocalOdeProblem,
                          SecondKindProblem, construct_csc_associate,
@@ -106,7 +107,7 @@ class TestSecondKindEngine:
     def test_no_memory_exact(self):
         # d = 1, m = 0: u is just the right-hand side
         prob = SecondKindProblem(d=lambda t: 1.0,
-                                 m=lambda y, t: np.zeros_like(np.asarray(y)),
+                                 m=lambda y, x: np.zeros_like(np.asarray(y)),
                                  r=lambda t: t * t)
         mesh = Mesh(1.0, 32)
         rep = solve_second_kind(prob, mesh)
@@ -115,7 +116,7 @@ class TestSecondKindEngine:
     def test_constant_memory_exponential(self):
         # u + int_0^t u = 1 has solution u = exp(-t)
         prob = SecondKindProblem(d=lambda t: 1.0,
-                                 m=lambda y, t: np.ones_like(np.asarray(y)),
+                                 m=lambda y, x: np.ones_like(np.asarray(y)),
                                  r=lambda t: 1.0)
         errs = []
         for n in (64, 256):
@@ -128,7 +129,7 @@ class TestSecondKindEngine:
     def test_abel_memory_constant_solution(self):
         # u + int (t-y)^(-1/2) u(y) dy = 1 + 2 sqrt(t) has solution u = 1
         prob = SecondKindProblem(d=lambda t: 1.0,
-                                 m=lambda y, t: (t - np.asarray(y)) ** -0.5,
+                                 m=lambda y, x: x ** -0.5,
                                  r=lambda t: 1.0 + 2.0 * math.sqrt(t) if t > 0 else 1.0)
         mesh = Mesh(1.0, 256, 4.0)
         rep = solve_second_kind(prob, mesh)
@@ -140,14 +141,14 @@ class TestSecondKindEngine:
         r = np.ones(17)
         r[0] = np.inf
         prob = SecondKindProblem(d=lambda t: 1.0,
-                                 m=lambda y, t: np.zeros_like(np.asarray(y)),
+                                 m=lambda y, x: np.zeros_like(np.asarray(y)),
                                  r=r)
         rep = solve_second_kind(prob, mesh)
         assert rep.u[0] == rep.u[1] == pytest.approx(1.0)
 
     def test_vanishing_diagonal_raises(self):
         prob = SecondKindProblem(d=lambda t: 0.0,
-                                 m=lambda y, t: np.zeros_like(np.asarray(y)),
+                                 m=lambda y, x: np.zeros_like(np.asarray(y)),
                                  r=lambda t: 1.0)
         with pytest.raises(NumericalError):
             solve_second_kind(prob, Mesh(1.0, 8))
@@ -167,7 +168,7 @@ class TestSecondKindEngine:
         def solve(r):
             prob = SecondKindProblem(
                 d=lambda tt: 1.0 + tt,
-                m=lambda y, tt: (tt - np.asarray(y)) ** -0.5 * (1.0 + np.asarray(y) * tt),
+                m=lambda y, x: x ** -0.5 * (1.0 + y * (y + x)),
                 r=r)
             return solve_second_kind(prob, mesh).u
 
@@ -175,6 +176,42 @@ class TestSecondKindEngine:
         u1, u2 = solve(r1), solve(r2)
         np.testing.assert_allclose(solve(a * r1 + b * r2), a * u1 + b * u2,
                                    rtol=1e-12, atol=1e-12 * (abs(a) + abs(b)))
+
+
+    def test_kernel_gets_the_exact_newest_panel_lags(self):
+        # m(y, x) receives lag_rule's own lags, down to ~6e-19 tau, which
+        # t_i - (t_i - x) would round to 0; N = 40 spans two row blocks
+        mesh = Mesh(1.0, 40, 4.0)
+        t = mesh.points
+        seen = []
+
+        def m(y, x):
+            seen.append(np.atleast_1d(x))
+            return np.ones_like(y)
+
+        solve_second_kind(SecondKindProblem(d=lambda tt: 1.0, m=m,
+                                            r=lambda tt: 1.0), mesh)
+        lags = np.concatenate(seen)
+        for i in range(1, mesh.n + 1):
+            assert np.all(np.isin(lag_rule(t[i] - t[i - 1])[0], lags)), i
+
+
+class TestMemoryPoints:
+    """meta["memory_points"]: the kernel points the memory quadrature
+    evaluated, 2 per interior panel and MEMORY_PANEL_NODES per newest one."""
+
+    def test_memory_on_vie1(self):
+        prob = FirstKindProblem(KernelPair.make("0.5 + 0.1*t"),
+                                Weight.from_expr("1 + s*t"), Forcing.from_expr("t"))
+        rep = solve_first_kind(prob, Mesh(1.0, 64, 4.0))
+        assert rep.meta["memory_points"] == 64 * 63 + MEMORY_PANEL_NODES * 64 == 5056
+
+    def test_skipped_memory_vie1k(self, const_pair):
+        prob = FirstKindProblem(const_pair, Weight.from_expr("1 + s*t"),
+                                Forcing.from_expr("t"), variant="K-kernel")
+        rep = solve_first_kind(prob, Mesh(1.0, 64, 4.0))
+        assert rep.meta["memory_skipped"]
+        assert rep.meta["memory_points"] == 0
 
 
 class TestMeshHelpers:
@@ -472,7 +509,7 @@ class TestReportsAndRefinement:
     def test_solution_csv(self, tmp_path):
         mesh = Mesh(1.0, 4)
         prob = SecondKindProblem(d=lambda t: 1.0,
-                                 m=lambda y, t: np.zeros_like(np.asarray(y)),
+                                 m=lambda y, x: np.zeros_like(np.asarray(y)),
                                  r=lambda t: t)
         rep = solve_second_kind(prob, mesh)
         rep.residual_points = mesh.points[1:]
