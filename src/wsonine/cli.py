@@ -179,6 +179,8 @@ def cmd_solve(cfg: RunConfig, kind: str, out_dir: str) -> int:
                "memory_skipped": rep.meta["memory_skipped"],
                "memory_points": rep.meta["memory_points"],
                "timings": rep.meta["timings"]}
+    if kind == "pde":
+        summary["factorizations"] = rep.meta["factorizations"]
     if max_res is not None:
         summary["max_residual"] = max_res
     if err is not None:

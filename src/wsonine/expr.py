@@ -97,7 +97,9 @@ def as_function(ast_or_fn, names=("t",)):
 
     The expression may use no other variable (ValidationError).  The result
     has the shape of the first argument, so a constant expression or one
-    that ignores that argument is broadcast.
+    that ignores that argument is broadcast.  An array argument is evaluated
+    at its broadcast shape: each stride-0 axis counts once, so sin(x) of x
+    broadcast to (B, M) is computed on (1, M).
     """
     if callable(ast_or_fn) and not isinstance(ast_or_fn, ExprAst):
         return ast_or_fn
@@ -107,13 +109,21 @@ def as_function(ast_or_fn, names=("t",)):
         raise ValidationError(f"unexpected variables {sorted(extra)} in '{ast}'")
 
     def fn(*args):
-        val = _eval(ast, dict(zip(names, args)))
+        val = _eval(ast, dict(zip(names, map(_unbroadcast, args))))
         shape = np.shape(args[0])
         if np.shape(val) == shape:
             return val
         return np.broadcast_to(np.asarray(val, dtype=float), shape).copy()
 
     return fn
+
+
+def _unbroadcast(a):
+    """a with every stride-0 axis cut to length 1; other values as they are."""
+    if not isinstance(a, np.ndarray) or 0 not in a.strides:
+        return a
+    return a[tuple(slice(None, 1) if st == 0 else slice(None)
+                   for st in a.strides)]
 
 
 # ---------------------------------------------------------------- tokenizer

@@ -12,7 +12,10 @@ with the 1/g(t,0) factor applied outside the time derivative.  Space uses
 the 3-point Laplacian on a uniform grid; the K-term uses L1-style weights
 exact on piecewise-linear data; d_s u in the memory term uses backward
 differences with the newest panel implicit.  Each step is one tridiagonal
-solve.
+solve on the LAPACK factors of shift*I - coef*Lap, factored once per
+(shift, coef) pair and reused while the pair holds: once per solve when
+the memory term is skipped and every tau is the same, at every step on a
+graded mesh.
 
 The K-term acts on f and Lap u alike, so both share one history array V:
 row j holds f(t_j) and gains Lap u_j once step j is solved, and the K-term
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .csvfile import write_csv
 from .errors import NumericalError, ValidationError
@@ -122,6 +125,32 @@ def l1_weights(alpha0: float, t: np.ndarray, a: int, b: int,
     return w
 
 
+def _factor_step(shift: float, coef: float, m: int, h: float) -> tuple:
+    """dgttrf factors (dl, d, du, du2, ipiv) of shift*I - coef*Lap on m
+    interior nodes.  The LAPACK wrapper needs 3 rows, so a smaller system
+    is padded with identity rows that do not couple to it.  A zero pivot
+    raises LinAlgError."""
+    n = max(m, 3)
+    off = np.zeros(n - 1)
+    off[:m - 1] = -coef / h ** 2
+    diag = np.ones(n)
+    diag[:m] = shift + 2.0 * coef / h ** 2
+    *factors, info = dgttrf(off, diag, off)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgttrf returned info = {info}")
+    return tuple(factors)
+
+
+def solve_banded(factors: tuple, rhs: np.ndarray) -> np.ndarray:
+    """The solution of one step's system from its _factor_step factors."""
+    b = np.zeros(len(factors[1]))
+    b[:len(rhs)] = rhs
+    x, info = dgttrs(*factors, b, overwrite_b=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgttrs returned info = {info}")
+    return x[:len(rhs)]
+
+
 def _forcing_block(f_fn, x: np.ndarray, tb: np.ndarray) -> np.ndarray:
     """f at the time nodes tb for every x, shape (len(tb), len(x)): one call
     f_fn(x of shape (B, m), t of shape (B, 1)).  A call that fails on these
@@ -178,6 +207,9 @@ def solve_subdiffusion(config: PdeConfig,
     hist = np.empty((n + 1, m))
     forcing_s = 0.0
     points = 0
+    # the step matrix's factors and the (shift, coef) they were made for
+    factors, factored = None, None
+    factorizations = 0
 
     def memory(y, x):
         nonlocal points
@@ -215,12 +247,12 @@ def solve_subdiffusion(config: PdeConfig,
 
             shift = 1.0 / tau[i - 1] + b_last / (gi * tau[i - 1])
             coef = lw[i - a, i] / gi
-            ab = np.zeros((3, m))
-            ab[0, 1:] = -coef / h ** 2
-            ab[1, :] = shift + 2.0 * coef / h ** 2
-            ab[2, :-1] = -coef / h ** 2
             try:
-                ui = solve_banded((1, 1), ab, rhs)
+                if (shift, coef) != factored:
+                    factors = _factor_step(shift, coef, m, h)
+                    factored = (shift, coef)
+                    factorizations += 1
+                ui = solve_banded(factors, rhs)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(
                     f"linear solve failed at step {i} (t = {t[i]})") from exc
@@ -242,6 +274,7 @@ def solve_subdiffusion(config: PdeConfig,
                        meta={"m": m, "n": n, "jacobi_nodes": data.rule.n,
                              "memory_skipped": memory_skipped,
                              "memory_points": points,
+                             "factorizations": factorizations,
                              "history_block": ROW_BLOCK,
                              "timings": {"forcing_s": forcing_s,
                                          "stepping_s": stepping_s}})

@@ -369,6 +369,8 @@ r = 4
         assert code == 0
         assert summary["error"] <= 5e-2
         assert summary["jacobi_nodes"] == SONINE_JACOBI_N
+        # r = 4: every step has its own tau, so its own factorization
+        assert summary["factorizations"] == 32
         header = (out / "solution.csv").read_text().splitlines()[0]
         assert header == "x,t,u"
 

@@ -132,6 +132,28 @@ class TestAsFunction:
         with pytest.raises(ValidationError, match="unexpected variables"):
             as_function("x + s", ("x", "t"))
 
+    @pytest.mark.parametrize("text", [
+        "x",                                         # x itself, copied
+        "sin(3.141592653589793*x)",                  # x only
+        "exp(-t) + t^1.5",                           # t only
+        "(1 + t^1.5) * sin(3.141592653589793*x) + x*(1 - x) / (1 + t)",
+        "2.5"])
+    def test_broadcast_inputs_evaluate_as_materialised_copies(self, text):
+        # x broadcast to (B, M) and t to (B, M) or (B, 1), as the blocked
+        # PDE forcing and the first-kind right-hand sides pass them
+        rng = np.random.default_rng(3)
+        x = rng.random(7)
+        t = rng.random((5, 1)) * 2.0
+        fn = as_function(text, ("x", "t"))
+        for xs, ts in ((np.broadcast_to(x, (5, 7)), t),
+                       (np.broadcast_to(x, (5, 7)), np.broadcast_to(t, (5, 7))),
+                       (np.broadcast_to(x[:1], (5, 7)), np.broadcast_to(t, (5, 7)))):
+            got = fn(xs, ts)
+            want = fn(np.ascontiguousarray(xs), np.ascontiguousarray(ts))
+            assert got.shape == want.shape == (5, 7)
+            assert got.flags.writeable
+            np.testing.assert_array_equal(got, want)
+
 
 class TestSubstitute:
     def test_weight_derivative_at_zero_folds_to_zero(self):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wsonine import subdiffusion
 from wsonine.errors import NumericalError, ValidationError
@@ -65,6 +66,22 @@ def row_by_row_solve(cfg):
         shift = (1.0 + b_panels[i - 1] / gi) / tau[i - 1]
         u[i] = np.linalg.solve(shift * np.eye(m) - lw[i, i] / gi * lap, rhs)
     return u
+
+
+def per_step_solve_banded(patch):
+    """Patch the stepper back to its per-step solve: every step builds the
+    banded matrix ab of shift*I - coef*Lap and calls
+    scipy.linalg.solve_banded on it."""
+    def build(shift, coef, m, h):
+        ab = np.zeros((3, m))
+        ab[0, 1:] = -coef / h ** 2
+        ab[1, :] = shift + 2.0 * coef / h ** 2
+        ab[2, :-1] = -coef / h ** 2
+        return ab
+
+    patch.setattr(subdiffusion, "_factor_step", build)
+    patch.setattr(subdiffusion, "solve_banded",
+                  lambda ab, rhs: scipy.linalg.solve_banded((1, 1), ab, rhs))
 
 
 class TestL1Weights:
@@ -255,6 +272,58 @@ class TestSolver:
         want = row_by_row_solve(cfg)
         assert float(np.max(np.abs(got - want))) <= 1e-12 * float(np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("alpha, w, n, r, m, lo, hi", [
+        # tau is exact: one factorization for the whole solve
+        ("0.5", "1", 64, 1.0, 16, 1, 1),
+        # the tau of N = 100 differ in the last bit: some steps refactor
+        ("0.5", "1", 100, 1.0, 16, 2, 99),
+        # graded and memory-on: every step refactors
+        ("0.5 + 0.2*t", "1 + s*t", 70, 4.0, 16, 70, 70),
+        # w(t, t) = 1 keeps coef fixed; the memory term moves the shift
+        ("0.5", "1 + s*(t - s)", 64, 1.0, 16, 64, 64),
+        # systems below 3 rows are padded for the LAPACK wrapper
+        ("0.5", "1 + s*t", 20, 1.0, 1, 20, 20),
+        ("0.5", "1", 20, 4.0, 2, 20, 20)])
+    def test_kept_factors_match_per_step_solve_banded(
+            self, monkeypatch, alpha, w, n, r, m, lo, hi):
+        f = lambda x, t: (1.0 + t) * np.sin(math.pi * x) + x * (1.0 - x)
+        cfg = PdeConfig(m=m, mesh=Mesh(1.0, n, r),
+                        pair=KernelPair.make(alpha, normalized=True),
+                        weight=Weight.from_expr(w), forcing=f,
+                        initial=lambda x: np.sin(2.0 * math.pi * x))
+        got = solve_subdiffusion(cfg)
+        with monkeypatch.context() as patch:
+            per_step_solve_banded(patch)
+            want = solve_subdiffusion(cfg)
+        assert lo <= got.meta["factorizations"] <= hi
+        np.testing.assert_array_equal(got.u, want.u)
+        np.testing.assert_array_equal(got.solve_residuals, want.solve_residuals)
+
+    @pytest.mark.parametrize("w, r, want", [("1", 1.0, 1), ("1", 4.0, 128),
+                                            # w(t, t) and the memory term
+                                            # move the pair at every step
+                                            ("1 + s*t", 1.0, 128)])
+    def test_factorizations_counted(self, npair, w, r, want):
+        cfg = PdeConfig(m=8, mesh=Mesh(1.0, 128, r), pair=npair,
+                        weight=Weight.from_expr(w),
+                        forcing="sin(3.141592653589793*x)", initial="0")
+        assert solve_subdiffusion(cfg).meta["factorizations"] == want
+
+    def test_singular_factor_fails_loudly(self, monkeypatch, npair, unit_weight):
+        factor = subdiffusion.dgttrf
+
+        def singular(dl, d, du):
+            *factors, _ = factor(dl, d, du)
+            return (*factors, 3)
+
+        monkeypatch.setattr(subdiffusion, "dgttrf", singular)
+        cfg = PdeConfig(m=8, mesh=Mesh(1.0, 16, 4.0), pair=npair,
+                        weight=unit_weight, forcing="sin(3.141592653589793*x)",
+                        initial="0")
+        with pytest.raises(NumericalError,
+                           match=r"linear solve failed at step 1 \(t = "):
+            solve_subdiffusion(cfg)
+
     def test_forcing_called_per_block(self, npair, unit_weight):
         # a callable forcing gets x of shape (B, M) and t of shape (B, 1),
         # B <= ROW_BLOCK, once per block of time nodes
@@ -337,6 +406,16 @@ class TestSolver:
                         weight=unit_weight, forcing="1e9 * sin(3.141592653589793 * x)",
                         initial="0")
         with pytest.raises(NumericalError, match="step"):
+            solve_subdiffusion(cfg)
+
+    def test_nonfinite_forcing_names_step(self, npair, unit_weight):
+        # f = inf from t > 1/2 on: the step solve passes it through to the
+        # finiteness check (scipy's solve_banded raised a bare ValueError)
+        cfg = PdeConfig(m=8, mesh=Mesh(1.0, 16, 1.0), pair=npair,
+                        weight=unit_weight, initial="0",
+                        forcing=lambda x, t: np.where(t > 0.5, np.inf, 0.0) * x)
+        with pytest.raises(NumericalError,
+                           match=r"non-finite solution at step 9 \(t = 0.5625\)"):
             solve_subdiffusion(cfg)
 
     def test_bad_weight_rejected(self, npair):
