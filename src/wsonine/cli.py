@@ -8,7 +8,6 @@ failure, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -121,33 +120,46 @@ def _build_forcing(cfg: RunConfig, pair, weight) -> vie.Forcing:
     return vie.Forcing.from_expr(cfg.f_expr)
 
 
-def _solve_once(cfg: RunConfig, kind: str, mesh: Mesh):
+class _Run:
+    """What a `solve` or `converge` run builds from its config once: the
+    pair, the weight, their SonineData (so a g2 table built on one mesh
+    serves the finer ones) and, but for pde, the forcing."""
+
+    def __init__(self, cfg: RunConfig, kind: str):
+        if cfg.manufactured and kind not in _MANUFACTURED_KINDS:
+            raise ConfigError(f"manufactured = true builds a first-kind forcing, for "
+                              f"--kind {' or '.join(_MANUFACTURED_KINDS)} only, not {kind}")
+        self.cfg, self.kind = cfg, kind
+        self.pair = cfg.make_pair()
+        self.weight = cfg.make_weight()
+        self.data = SonineData.make(self.pair, self.weight)
+        self.forcing = None if kind == "pde" else _build_forcing(cfg, self.pair,
+                                                                self.weight)
+
+
+def _solve_once(run: _Run, mesh: Mesh, pde_m: int):
     """Returns (report-like, error-vs-exact or None, max_residual or None)."""
-    if cfg.manufactured and kind not in _MANUFACTURED_KINDS:
-        raise ConfigError(f"manufactured = true builds a first-kind forcing, for "
-                          f"--kind {' or '.join(_MANUFACTURED_KINDS)} only, not {kind}")
-    pair = cfg.make_pair()
-    weight = cfg.make_weight()
+    cfg, kind, pair, weight = run.cfg, run.kind, run.pair, run.weight
 
     if kind == "pde":
         if cfg.f_expr is None:
             raise ConfigError("missing [forcing] f expression")
-        pcfg = PdeConfig(cfg.pde_m, mesh, pair, weight, cfg.f_expr,
+        pcfg = PdeConfig(pde_m, mesh, pair, weight, cfg.f_expr,
                          cfg.initial_expr, exact=cfg.exact_expr)
-        sol = solve_subdiffusion(pcfg)
+        sol = solve_subdiffusion(pcfg, run.data)
         err = sol.final_l2_error(cfg.exact_expr) if cfg.exact_expr else None
         return sol, err, float(np.max(sol.solve_residuals))
 
     exact = None if cfg.exact_expr is None else as_function(cfg.exact_expr)
-    forcing = _build_forcing(cfg, pair, weight)
+    forcing = run.forcing
     if kind == "ode":
         prob = vie.NonlocalOdeProblem(pair, weight, forcing, c=cfg.c)
-        rep = vie.solve_nonlocal_ode(prob, mesh)
+        rep = vie.solve_nonlocal_ode(prob, mesh, run.data)
         max_res = None
     else:
         variant = "weighted-k" if kind == "vie1" else "K-kernel"
         prob = vie.FirstKindProblem(pair, weight, forcing, variant=variant)
-        rep = vie.solve_first_kind(prob, mesh)
+        rep = vie.solve_first_kind(prob, mesh, run.data)
         pts, res = vie.residual_first_kind(
             prob, mesh, rep.u, [0.25 * cfg.b, 0.5 * cfg.b, cfg.b])
         rep.residual_points, rep.residuals = pts, res
@@ -165,7 +177,7 @@ def _solve_once(cfg: RunConfig, kind: str, mesh: Mesh):
 
 def cmd_solve(cfg: RunConfig, kind: str, out_dir: str) -> int:
     mesh = cfg.make_mesh()
-    rep, err, max_res = _solve_once(cfg, kind, mesh)
+    rep, err, max_res = _solve_once(_Run(cfg, kind), mesh, cfg.pde_m)
     if kind == "pde":
         rep.write_csv(os.path.join(out_dir, "solution.csv"))
     else:
@@ -178,6 +190,7 @@ def cmd_solve(cfg: RunConfig, kind: str, out_dir: str) -> int:
                "jacobi_nodes": rep.meta["jacobi_nodes"],
                "memory_skipped": rep.meta["memory_skipped"],
                "memory_points": rep.meta["memory_points"],
+               "g2_table": rep.meta["g2_table"],
                "timings": rep.meta["timings"]}
     if kind == "pde":
         summary["factorizations"] = rep.meta["factorizations"]
@@ -195,10 +208,11 @@ def cmd_converge(cfg: RunConfig, kind: str, doublings: int, out_dir: str) -> int
     if cfg.exact_expr is None:
         raise ConfigError("converge needs an exact expression in [forcing]")
 
+    run = _Run(cfg, kind)
+
     def solve(mesh):
         # pde refines space and time together: m doubles with N
-        m = cfg.pde_m * mesh.n // cfg.n
-        return _solve_once(dataclasses.replace(cfg, pde_m=m), kind, mesh)
+        return _solve_once(run, mesh, cfg.pde_m * mesh.n // cfg.n)
 
     history, _ = vie.refinement_study(solve, cfg.make_mesh(), lambda out: out[1],
                                       doublings)

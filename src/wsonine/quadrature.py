@@ -391,6 +391,12 @@ def memory_panel_weights(m, t: np.ndarray, a: int, b: int):
     return w0, w1
 
 
+def memory_points(n: int) -> int:
+    """Kernel points memory_panel_weights evaluates over all rows of a mesh
+    of n steps: 2(i - 1) interior and MEMORY_PANEL_NODES newest for row i."""
+    return n * (n - 1) + MEMORY_PANEL_NODES * n
+
+
 def _rowdot(p, q):
     """np.dot of each row of p with the same row of q, with its bits."""
     return np.matmul(p[:, None, :], q[:, :, None])[:, 0, 0]

@@ -43,6 +43,9 @@ class SonineData:
     weight: Weight
     rule: JacobiRule
     diag_min: float          # min |g(t,0)| on the validation grid
+    # the g2table.G2Table under "table" once g2table.g2_table has built it
+    g2_cache: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @classmethod
     def make(cls, pair: KernelPair, weight: Weight,
@@ -129,9 +132,11 @@ def _g2_chunk(data, s, t, work):
     np.subtract(pair.alpha0, a, out=e)
     np.log(x, out=log_x)
     np.exp(np.multiply(e, log_x, out=phi), out=phi)
-    mean_ap = 0.5 * sum(np.asarray(expo.prime(x * c)) for c in _MEAN_NODES)
     np.divide(e, x, out=d)
-    np.copyto(d, -mean_ap, where=x < SMALL_LAG)
+    small = x < SMALL_LAG
+    if small.any():
+        xs = x[small]
+        d[small] = -0.5 * sum(np.asarray(expo.prime(xs * c)) for c in _MEAN_NODES)
     d -= np.multiply(ap, log_x, out=log_x)
     if pair.normalized:
         phi *= gamma(1.0 - pair.alpha0) / gamma(1.0 - a)

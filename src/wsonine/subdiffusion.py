@@ -24,7 +24,8 @@ The steps run in blocks of quadrature.ROW_BLOCK: for a block [a, b) the L1
 rows a..b-1 are built, the far part (columns < a) is one matrix product
 before the block, and each step adds its near part over columns a..i.  The
 memory term, when g2 does not vanish, is one row c_i @ u[:i] per step from
-the block's memory_panel_weights rows, whose g2 points are one eval_g2 call.
+the block's memory_panel_weights rows, whose g2 points are one call of the
+solve's g2table.G2Kernel (eval_g2, or the g2 table of a variable exponent).
 f is evaluated once per block of time nodes.
 """
 
@@ -41,8 +42,10 @@ from .csvfile import write_csv
 from .errors import NumericalError, ValidationError
 from .expr import ExprAst, as_function
 from .kernels import KernelPair, Weight, gamma
-from .quadrature import ROW_BLOCK, Mesh, memory_panel_weights, power_conv_rows
+from .quadrature import (ROW_BLOCK, Mesh, memory_panel_weights, memory_points,
+                         power_conv_rows)
 # wsc1_report stays bound here: the benchmark's span tracer patches it
+from .g2table import G2Kernel
 from .sonine import SonineData, eval_g2, g2_vanishes, wsc1_report  # noqa: F401
 from .vie import require_wsc1
 
@@ -211,11 +214,17 @@ def solve_subdiffusion(config: PdeConfig,
     factors, factored = None, None
     factorizations = 0
 
+    g2 = None if memory_skipped else G2Kernel(data, memory_points(n),
+                                              lambda y, x: eval_g2(data, y, x))
+
     def memory(y, x):
         nonlocal points
         points += y.size
-        return eval_g2(data, y, x)
+        return g2(y, x)
 
+    timings = {}
+    if g2 is not None and g2.built:
+        timings["g2_table_s"] = g2.table.build_s
     started = time.perf_counter()
 
     for a in range(0, n + 1, ROW_BLOCK):
@@ -269,12 +278,13 @@ def solve_subdiffusion(config: PdeConfig,
             solve_res[i] = float(np.max(np.abs(resid)))
             hist[i] += lap_ui
 
-    stepping_s = time.perf_counter() - started - forcing_s
+    timings["forcing_s"] = forcing_s
+    timings["stepping_s"] = time.perf_counter() - started - forcing_s
     return PdeSolution(x, t.copy(), u, solve_res,
                        meta={"m": m, "n": n, "jacobi_nodes": data.rule.n,
                              "memory_skipped": memory_skipped,
                              "memory_points": points,
+                             "g2_table": None if g2 is None else g2.record(),
                              "factorizations": factorizations,
                              "history_block": ROW_BLOCK,
-                             "timings": {"forcing_s": forcing_s,
-                                         "stepping_s": stepping_s}})
+                             "timings": timings})

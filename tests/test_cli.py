@@ -7,7 +7,7 @@ from wsonine.kernels import KernelPair
 from wsonine.config import RunConfig, parse_sections
 from wsonine.errors import ConfigError
 from wsonine.quadrature import MEMORY_PANEL_NODES
-from wsonine.sonine import SONINE_JACOBI_N
+from wsonine.sonine import SONINE_JACOBI_N, SonineData
 
 ODE_SQRT = """
 [kernel]
@@ -50,6 +50,10 @@ exact = "1 + t"
 n = 64
 r = 4
 """
+
+# the same with a variable exponent, whose memory term reads a g2 table on
+# meshes of N >= 128
+VIE1_VARIABLE = VIE1_MANUFACTURED.replace('alpha = "0.5"', 'alpha = "0.5 + 0.1*t"')
 
 # first kind in K, u = t: f = t^1.5 / (a0 (a0 + 1) kappa(a0)) at a0 = 1/2
 VIE1K_CONST = """
@@ -345,6 +349,19 @@ r = 4
         assert summary["memory_skipped"] is False
         assert summary["memory_points"] == 16 * 15 + MEMORY_PANEL_NODES * 16
         assert summary["jacobi_nodes"] == SONINE_JACOBI_N
+        assert summary["g2_table"] is None
+
+    def test_g2_table_in_summary(self, tmp_path, capsys):
+        cfg = VIE1_VARIABLE.replace("n = 64", "n = 128")
+        code, _ = run_cli(tmp_path, cfg, "solve", "--kind", "vie1")
+        summary, _ = last_json(capsys)
+        assert code == 0
+        table = summary["g2_table"]
+        assert table["rank"] == 2 and table["fallback"] is None
+        assert table["check_error"] <= 1e-12 and table["below_points"] == 0
+        assert set(summary["timings"]) == {"rhs_s", "stepping_s", "g2_table_s"}
+        assert summary["timings"]["g2_table_s"] == table["build_s"]
+        assert summary["error"] <= 1e-3
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         _, out = run_cli(tmp_path, ODE_SQRT, "solve", "--kind", "ode")
@@ -434,6 +451,28 @@ class TestConverge:
         assert code == 0
         assert summary["order"] == "exact"
         assert summary["error"] <= 1e-13
+
+    def test_one_sonine_data_per_study(self, tmp_path, capsys, monkeypatch):
+        # N = 32 .. 256: the g2 table is built at N = 128 and read at 256;
+        # each row is bit for bit what `solve` gives at that N alone
+        made = []
+        make = SonineData.make.__func__
+        monkeypatch.setattr(SonineData, "make", classmethod(
+            lambda cls, *args: made.append(args) or make(cls, *args)))
+        cfg = VIE1_VARIABLE.replace("n = 64", "n = 32")
+        code, out = run_cli(tmp_path, cfg, "converge", "--kind", "vie1",
+                            "--doublings", "3")
+        last_json(capsys)
+        assert code == 0 and len(made) == 1
+        rows = (out / "convergence.csv").read_text().splitlines()[1:]
+        for row in rows:
+            n, err, _ = row.split(",")
+            code, _ = run_cli(tmp_path, cfg.replace("n = 32", f"n = {n}"),
+                              "solve", "--kind", "vie1")
+            summary, _ = last_json(capsys)
+            assert code == 0
+            assert f"{summary['error']:.17g}" == err
+        assert [row.split(",")[0] for row in rows] == ["32", "64", "128", "256"]
 
     def test_requires_exact(self, tmp_path, capsys):
         cfg = ODE_SQRT.replace('exact = "sqrt(t)"', "")

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from scipy import special
 
+from wsonine import g2table, sonine
 from wsonine.errors import DomainError, UnsupportedConfigurationError
 from wsonine.kernels import (KERNEL_PRESETS, WEIGHT_PRESETS, KernelPair, Weight,
                              gamma)
 from wsonine.quadrature import Mesh
-from wsonine.sonine import (G2_CHUNK, G_reference, SONINE_JACOBI_N,
+from wsonine.g2table import (G2_TABLE_CHECK_TOL, G2_TABLE_MIN_POINTS, G2Kernel,
+                             g2_table)
+from wsonine.sonine import (G2_CHUNK, SMALL_LAG, G_reference, SONINE_JACOBI_N,
                             SonineData, associate_from_wsc2, csc_residual,
                             eval_G, eval_G2, eval_g, eval_g2, g2_vanishes,
                             g_reference, wsc1_report, wsc2_report)
@@ -246,6 +249,152 @@ class TestFusedG2:
                 ref = closed_form_g2(data, s, lam, e_over_x)
                 assert eval_g2(data, s, lam) == pytest.approx(ref, rel=1e-13, abs=0), \
                     (s, lam)
+
+
+def g2_all_lane_mean(data, s, t):
+    """eval_g2 at 1-D s, t as it was before the 2-point mean of alpha' was
+    restricted to the lanes below SMALL_LAG: the mean taken on every lane,
+    then kept where x < SMALL_LAG."""
+    pair, w, rule = data.pair, data.weight, data.rule
+    expo = pair.exponent
+    s2 = s[:, None]
+    z = rule.nodes[None, :]
+    x = t[:, None] * z
+    y = x + s2
+    a = np.asarray(expo(x))
+    ap = np.asarray(expo.prime(x))
+    e = pair.alpha0 - a
+    log_x = np.log(x)
+    phi = np.exp(e * log_x)
+    mean_ap = 0.5 * sum(np.asarray(expo.prime(x * c)) for c in sonine._MEAN_NODES)
+    d = e / x
+    np.copyto(d, -mean_ap, where=x < SMALL_LAG)
+    d -= ap * log_x
+    if pair.normalized:
+        phi *= gamma(1.0 - pair.alpha0) / gamma(1.0 - a)
+        d += special.digamma(1.0 - a) * ap
+    d *= np.asarray(w(s2, y))
+    d += np.asarray(w.dt(s2, y))
+    phi *= z
+    phi *= d
+    return (phi @ rule.weights) / pair.kappa
+
+
+class TestSmallLagMean:
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_small_lanes_only_is_bit_identical(self, normalized, bilinear):
+        # lags t z_j on both sides of SMALL_LAG = 1e-3, one eval_g2 chunk
+        data = SonineData.make(KernelPair.make("0.5 + 0.2*sin(t)", normalized=normalized),
+                               bilinear)
+        rng = np.random.default_rng(4)
+        t = np.exp(rng.uniform(np.log(1e-6), np.log(0.5), G2_CHUNK - 17))
+        s = rng.uniform(0.0, 0.5, t.size)
+        x = t[:, None] * data.rule.nodes
+        assert np.any(x < SMALL_LAG) and np.any(x >= SMALL_LAG)
+        np.testing.assert_array_equal(eval_g2(data, s, t), g2_all_lane_mean(data, s, t))
+
+
+TABLE_EXPONENTS = ["0.5 + 0.1*t", "0.9 + 0.05*sin(t)", "0.2 + 0.3*t", "0.3 + 0.4*t^2"]
+# rank of the g2 table per weight; None: the rank cap makes it fall back
+TABLE_WEIGHTS = {"1 + s*t": 2, "exp(-(t - s))": 1, "1 + s^2*t": 2,
+                 "2 + sin(3*s*t)": None}
+
+
+class TestG2Table:
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("weight", list(TABLE_WEIGHTS))
+    @pytest.mark.parametrize("alpha", TABLE_EXPONENTS)
+    def test_matches_eval_g2_or_falls_back(self, alpha, weight, normalized):
+        data = SonineData.make(KernelPair.make(alpha, normalized=normalized),
+                               Weight.from_expr(weight))
+        table = g2_table(data, G2_TABLE_MIN_POINTS + 1)
+        if TABLE_WEIGHTS[weight] is None:
+            assert table.fallback == "rank above 8"
+            assert table.rank == 0 and table.table_points == 0
+            return
+        assert table.fallback is None
+        assert table.rank == TABLE_WEIGHTS[weight]
+        assert table.check_error <= G2_TABLE_CHECK_TOL
+        # log-uniform lags from 1e-31 to b - s
+        rng = np.random.default_rng(3)
+        s = rng.uniform(0.0, data.b, 2000)
+        lam = np.exp(rng.uniform(np.log(1e-31), np.log(data.b - s)))
+        want = eval_g2(data, s, lam)
+        err = np.abs(table(s, lam) - want) / np.maximum(1.0, np.abs(want))
+        assert err.max() <= G2_TABLE_CHECK_TOL
+
+    def test_built_once_on_demand_from_eval_g2(self, monkeypatch, bilinear):
+        data = SonineData.make(KernelPair.make("0.5 + 0.1*t"), bilinear)
+        assert data.g2_cache == {}
+        assert g2_table(data, G2_TABLE_MIN_POINTS) is None
+        points = []
+        exact = sonine.eval_g2
+        monkeypatch.setattr(sonine, "eval_g2", lambda data, s, t: points.append(
+            np.broadcast(s, t).size) or exact(data, s, t))
+        table = g2_table(data, G2_TABLE_MIN_POINTS + 1)
+        assert table.fallback is None and table.rank == 2
+        assert sum(points) == table.exact_points > G2_TABLE_MIN_POINTS
+        assert g2_table(data, 0) is table
+        assert len(points) == 3      # sample, skeleton rows, held-out check
+
+    def test_none_for_constant_exponents(self, const_data):
+        assert g2_table(const_data, 10 ** 9) is None
+
+    def test_weight_not_evaluable_on_the_square(self):
+        # s + lam reaches 2b on the square, where 1.5 - t < 0
+        data = SonineData.make(KernelPair.make("0.5 + 0.1*t"),
+                               Weight.from_expr("2 + sqrt(1.5 - t)"))
+        table = g2_table(data, 10 ** 9)
+        assert table.fallback.startswith("weight not evaluable on [0, b]^2")
+        assert table.rank == 0 and table.check_error is None
+
+    def test_rank_cap(self, monkeypatch, bilinear):
+        monkeypatch.setattr(g2table, "G2_TABLE_MAX_RANK", 1)
+        data = SonineData.make(KernelPair.make("0.5 + 0.1*t"), bilinear)
+        assert g2_table(data, 10 ** 9).fallback == "rank above 1"
+
+    def test_held_out_check(self, monkeypatch, bilinear):
+        monkeypatch.setattr(g2table, "G2_TABLE_CHECK_TOL", 0.0)
+        data = SonineData.make(KernelPair.make("0.5 + 0.1*t"), bilinear)
+        table = g2_table(data, 10 ** 9)
+        assert table.fallback.startswith("held-out error")
+        assert 0.0 < table.check_error <= 1e-12
+
+    def test_kernel_sends_lags_below_the_table_to_exact(self, bilinear):
+        data = SonineData.make(KernelPair.make("0.5 + 0.1*t"), bilinear)
+        calls = []
+
+        def exact(s, x):
+            calls.append(x.copy())
+            return eval_g2(data, s, x)
+
+        kernel = G2Kernel(data, G2_TABLE_MIN_POINTS + 1, exact)
+        assert kernel.built and kernel.table.fallback is None
+        s = np.full(4, 0.2)
+        x = np.array([1e-40, 1e-33, 1e-20, 0.3])
+        got = kernel(s, x)
+        np.testing.assert_array_equal(calls[0], x[:2])
+        np.testing.assert_array_equal(got[:2], eval_g2(data, s[:2], x[:2]))
+        np.testing.assert_allclose(got[2:], eval_g2(data, s[2:], x[2:]), rtol=1e-13)
+        assert kernel.below_points == 2
+        assert kernel.record() == {**kernel.table.summary(), "below_points": 2}
+        again = G2Kernel(data, 0, exact)
+        assert again.table is kernel.table and not again.built
+
+    def test_kernel_without_table_is_exact(self, const_data, bilinear):
+        data = SonineData.make(KernelPair.make("0.5 + 0.1*t"), bilinear)
+        for d, points in ((const_data, 10 ** 9), (data, G2_TABLE_MIN_POINTS)):
+            kernel = G2Kernel(d, points, lambda s, x: ("exact", s, x))
+            assert kernel.table is None and kernel.record() is None
+            assert kernel(0.1, 0.2) == ("exact", 0.1, 0.2)
+
+    def test_wsc1_report_does_not_read_the_table(self, var_data):
+        data = SonineData.make(var_data.pair, var_data.weight)
+        before = wsc1_report(data)
+        assert g2_table(data, 10 ** 9).fallback is None
+        after = wsc1_report(data)
+        assert after.residuals == before.residuals
+        assert after.failures == before.failures
 
 
 class TestG2Vanishes:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wsonine import subdiffusion
+from wsonine import g2table, subdiffusion
 from wsonine.errors import NumericalError, ValidationError
 from wsonine.kernels import KernelPair, Weight, gamma
 from wsonine.quadrature import (MEMORY_PANEL_NODES, ROW_BLOCK, Mesh,
@@ -258,6 +258,24 @@ class TestSolver:
             assert (evaluated.meta["memory_points"]
                     == n * (n - 1) + MEMORY_PANEL_NODES * n)
             np.testing.assert_array_equal(skipped.u, evaluated.u)
+
+    def test_variable_exponent_memory_reads_the_g2_table(self, monkeypatch):
+        # N = 128: 18304 memory points, more than a table build takes
+        cfg = PdeConfig(m=4, mesh=Mesh(1.0, 128, 4.0),
+                        pair=KernelPair.make("0.5 + 0.2*t", normalized=True),
+                        weight=Weight.from_expr("1 + s*t"),
+                        forcing="sin(3.141592653589793*x)", initial="0")
+        got = solve_subdiffusion(cfg)
+        record = got.meta["g2_table"]
+        assert record["rank"] == 2 and record["fallback"] is None
+        assert got.meta["timings"]["g2_table_s"] == record["build_s"]
+        with monkeypatch.context() as patch:
+            patch.setattr(g2table, "g2_table", lambda data, points: None)
+            exact = solve_subdiffusion(cfg)
+        assert exact.meta["g2_table"] is None
+        assert set(exact.meta["timings"]) == {"forcing_s", "stepping_s"}
+        np.testing.assert_allclose(got.u, exact.u, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(exact.u)))
 
     @pytest.mark.parametrize("alpha, w", [("0.5", "1"), ("0.5", "1 + s*t"),
                                           ("0.5 + 0.2*t", "exp(-(t - s))")])

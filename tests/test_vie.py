@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsonine import vie
+from wsonine import g2table, vie
 from wsonine.errors import DomainError, NumericalError, ValidationError
 from wsonine.kernels import KernelPair, Weight
 from wsonine.quadrature import (MEMORY_PANEL_NODES, Mesh, lag_rule,
-                                power_conv_rows, split_conv)
+                                memory_points, power_conv_rows, split_conv)
+from wsonine.g2table import G2_TABLE_MIN_POINTS
 from wsonine.sonine import SonineData
 from wsonine.vie import (FirstKindProblem, Forcing, NonlocalOdeProblem,
                          SecondKindProblem, construct_csc_associate,
@@ -212,6 +214,64 @@ class TestMemoryPoints:
         rep = solve_first_kind(prob, Mesh(1.0, 64, 4.0))
         assert rep.meta["memory_skipped"]
         assert rep.meta["memory_points"] == 0
+
+
+class TestG2Table:
+    """A variable exponent's memory kernel comes from the SonineData's g2
+    table once a solve's memory term takes more than G2_TABLE_MIN_POINTS
+    points; meta["g2_table"] reports it, None when eval_g2 served alone."""
+
+    @staticmethod
+    def problem(weight="1 + s*t"):
+        return FirstKindProblem(KernelPair.make("0.5 + 0.1*t"),
+                                Weight.from_expr(weight), Forcing.from_expr("t"))
+
+    def test_record_timings_and_reuse(self, monkeypatch):
+        prob = self.problem()
+        data = SonineData.make(prob.pair, prob.weight)
+        small = solve_first_kind(prob, Mesh(1.0, 64, 4.0), data)
+        assert memory_points(64) <= G2_TABLE_MIN_POINTS < memory_points(128)
+        assert small.meta["g2_table"] is None
+        assert set(small.meta["timings"]) == {"rhs_s", "stepping_s"}
+        big = solve_first_kind(prob, Mesh(1.0, 128, 4.0), data)
+        record = big.meta["g2_table"]
+        assert set(record) == {"rank", "table_points", "build_s", "check_error",
+                               "exact_points", "fallback", "below_points"}
+        assert record["rank"] == 2 and record["fallback"] is None
+        assert record["check_error"] <= 1e-12 and record["below_points"] == 0
+        assert big.meta["timings"]["g2_table_s"] == record["build_s"]
+        # the table exists now, so the small mesh reads it too; no rebuild
+        again = solve_first_kind(prob, Mesh(1.0, 64, 4.0), data)
+        assert again.meta["g2_table"] == record
+        assert set(again.meta["timings"]) == {"rhs_s", "stepping_s"}
+        monkeypatch.setattr(g2table, "g2_table", lambda data, points: None)
+        exact = solve_first_kind(prob, Mesh(1.0, 128, 4.0))
+        assert exact.meta["g2_table"] is None
+        np.testing.assert_allclose(big.u, exact.u, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("weight, cap, reason", [
+        ("2 + sqrt(1.5 - t)", 8, "weight not evaluable"),
+        ("1 + s*t", 1, "rank above 1")])
+    def test_fallback_is_bit_identical_to_exact(self, monkeypatch, weight, cap,
+                                                reason):
+        monkeypatch.setattr(g2table, "G2_TABLE_MAX_RANK", cap)
+        prob = self.problem(weight)
+        mesh = Mesh(1.0, 128, 4.0)
+        rep = solve_first_kind(prob, mesh)
+        assert rep.meta["g2_table"]["fallback"].startswith(reason)
+        monkeypatch.setattr(g2table, "g2_table", lambda data, points: None)
+        exact = solve_first_kind(prob, mesh)
+        assert exact.meta["g2_table"] is None
+        np.testing.assert_array_equal(rep.u, exact.u)
+
+    def test_k_kernel_variant_reads_the_table_at_s_zero(self, monkeypatch):
+        prob = dataclasses.replace(self.problem(), variant="K-kernel")
+        mesh = Mesh(1.0, 128, 4.0)
+        rep = solve_first_kind(prob, mesh)
+        assert rep.meta["g2_table"]["rank"] == 2
+        monkeypatch.setattr(g2table, "g2_table", lambda data, points: None)
+        exact = solve_first_kind(prob, mesh)
+        np.testing.assert_allclose(rep.u, exact.u, rtol=0, atol=1e-13)
 
 
 class TestMeshHelpers:
