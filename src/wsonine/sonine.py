@@ -321,9 +321,10 @@ def associate_from_wsc2(data: SonineData, mesh,
     # G2(0, .) is a (1 - z)-weighted mean of w_t(0, .): zero with g2(0, .)
     memory = (None if g2_vanishes(pair, weight, 0.0)
               else lambda y, x: eval_G2(data, 0.0, x))
-    problem = vie.SecondKindProblem(d=lambda t: G00, m=memory,
-                                    r=lambda t: float(weight(0.0, t)) * pair.K(t))
-    rep = vie.solve_second_kind(problem, mesh)
+    t = mesh.points
+    r = np.full(mesh.n + 1, np.inf)     # K(0) is infinite: no u(0)
+    r[1:] = np.asarray(weight(0.0, t[1:])) * pair.K(t[1:])
+    rep = vie.solve_second_kind(vie.SecondKindProblem(G00, memory, r), mesh)
     cps = np.asarray([vie.snap_to_mesh(mesh, c * pair.b) for c in checkpoints])
     res = np.asarray([vie.conv_with_k(pair, mesh, rep.u, tc) - 1.0 for tc in cps])
     return vie.AssociateConstruction(rep.t, rep.u, cps, res)

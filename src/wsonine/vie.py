@@ -4,22 +4,25 @@ One product-integration engine for second-kind equations
 
     d(t) u(t) + int_0^t m(y,t) u(y) dy = r(t),
 
-plus the three transformations that feed it: the first-kind equation in the
-associate kernel K, the weighted first-kind equation in k, and the nonlocal
-differential equation.  Right-hand sides that involve d/dt of a convolution
-are always assembled from the integration-by-parts form (boundary term plus
-convolution with f'), never by numerical differentiation.
+plus the two transformations that feed it: the first-kind equation in the
+associate kernel K and the weighted first-kind equation in k.  The nonlocal
+differential equation is the weighted first-kind equation with F(0) = c and
+F' = f, and goes through the same transformation.  Right-hand sides that
+involve d/dt of a convolution are always assembled from the
+integration-by-parts form (boundary term plus convolution with f'), never
+by numerical differentiation.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from .csvfile import write_csv
+from . import sonine
 from .errors import DomainError, NumericalError, ValidationError
 from .expr import ExprAst, as_function, diff_expr, parse_expr
 from .kernels import KernelPair, Weight
@@ -43,10 +46,11 @@ class Forcing:
     When f comes from a weighted convolution of a known solution u, the
     derivative splits as f'(s) = u0 * w(0,s) k(s) + prime_bulk(s) with a
     bounded bulk vanishing at zero; transforms exploit that split to keep
-    uniform accuracy near t = 0.
+    uniform accuracy near t = 0.  f itself is read only by the residual
+    check, so it may be None.
     """
 
-    f: Callable
+    f: Optional[Callable]
     f_prime: Callable
     f0: float
     prime_singular_at_zero: bool = False
@@ -140,17 +144,14 @@ class NonlocalOdeProblem:
 
 @dataclass
 class SecondKindProblem:
-    d: Callable                      # diagonal d(t), called on the nodes
+    d: np.ndarray                    # diagonal d on the N + 1 mesh nodes
+                                     # (or a scalar broadcast to them)
     m: Optional[Callable]            # memory kernel m(y, x) at the lag
                                      # x = t - y, on 1-D arrays of nodes
                                      # and lags; None when identically 0
-    r: Union[Callable, np.ndarray]   # right-hand side, callable or per-node
+    r: np.ndarray                    # right-hand side on the nodes, as d;
+                                     # a non-finite r[0] means no u(0)
     g2: Optional[G2Kernel] = None    # the g2 kernel behind m, when it is one
-
-    def rhs_at(self, i: int, t: float) -> float:
-        if callable(self.r):
-            return float(self.r(t))
-        return float(self.r[i])
 
 
 @dataclass
@@ -190,15 +191,11 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
     t = mesh.points
     n = mesh.n
     u = np.zeros(n + 1)
-    d = _values(problem.d, t[1:])
+    d = _on_nodes("d", problem.d, n)
+    r = _on_nodes("r", problem.r, n)
     u0 = None      # u(0) = r(0)/d(0) when both are usable, else the first panel's
-    try:
-        r0 = problem.rhs_at(0, 0.0)
-        d0 = problem.d(0.0)
-        if np.isfinite(r0) and abs(d0) >= d_min:
-            u0 = u[0] = r0 / d0
-    except (DomainError, ZeroDivisionError, OverflowError, FloatingPointError):
-        pass
+    if np.isfinite(r[0]) and abs(d[0]) >= d_min:
+        u0 = u[0] = r[0] / d[0]
 
     points = 0
 
@@ -213,18 +210,18 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
             w0, w1 = memory_panel_weights(memory, t, a, b)
         for i in range(max(a, 1), b):
             ti = t[i]
-            di = float(d[i - 1])
+            di = float(d[i])
             if abs(di) < d_min:
                 raise NumericalError(f"diagonal coefficient below {d_min} at t = {ti}")
-            ri = problem.rhs_at(i, ti)
+            ri = float(r[i])
             if problem.m is None:
                 interior, m0, m1 = 0.0, 0.0, 0.0
             else:
-                r0, r1 = w0[i - a, :i], w1[i - a, :i]
+                c0, c1 = w0[i - a, :i], w1[i - a, :i]
                 # every panel but the newest acts on known values; on the
                 # newest, m0 multiplies u_{i-1} and m1 the unknown u_i
-                interior = float(r0[:-1] @ u[: i - 1] + r1[:-1] @ u[1:i])
-                m0, m1 = r0[-1], r1[-1]
+                interior = float(c0[:-1] @ u[: i - 1] + c1[:-1] @ u[1:i])
+                m0, m1 = c0[-1], c1[-1]
 
             if i == 1 and u0 is None:
                 # constant extension over the first panel
@@ -237,6 +234,17 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
         u[0] = u[1]
     return SolveReport(mesh, t, u, meta={"memory_skipped": problem.m is None,
                                          "memory_points": points})
+
+
+def _on_nodes(name: str, values, n: int) -> np.ndarray:
+    """A SecondKindProblem's d or r broadcast to the n + 1 mesh nodes."""
+    values = np.asarray(values, dtype=float)
+    try:
+        return np.broadcast_to(values, (n + 1,))
+    except ValueError:
+        raise ValidationError(
+            f"SecondKindProblem.{name} has length {values.size}; "
+            f"the mesh has {n + 1} nodes") from None
 
 
 # ----------------------------------------------------- mesh/metric helpers
@@ -287,18 +295,6 @@ def conv_with_k(pair: KernelPair, mesh: Mesh, u: np.ndarray, t: float) -> float:
     return float(np.dot(w, phi))
 
 
-def rhs_K_conv(pair: KernelPair, forcing: Forcing, c: float,
-               mesh: Mesh) -> np.ndarray:
-    """r_i = c K(t_i) + int_0^{t_i} K(t_i - y) f(y) dy on the mesh nodes;
-    r_0 is infinite when c != 0 (the solver starts from the limit branch)."""
-    t = mesh.points
-    r = power_conv_apply(1.0 - pair.alpha0, t, _values(forcing.f, t)) / pair.assoc_norm
-    r[0] = forcing.f0 * 0.0 if c == 0.0 else np.inf
-    if c != 0.0:
-        r[1:] += c * pair.K(t[1:])
-    return r
-
-
 SPLIT_CONV_LEVELS = 40   # graded depth of the right-hand sides' split_conv
 
 
@@ -307,25 +303,26 @@ def _values(fn, x):
     return np.broadcast_to(np.asarray(fn(x), dtype=float), np.shape(x))
 
 
-def _K_conv_fprime(pair: KernelPair, weight: Weight, forcing: Forcing,
-                   mesh: Mesh) -> np.ndarray:
+def _K_conv_fprime(data: SonineData, forcing: Forcing, mesh: Mesh) -> np.ndarray:
     """int_0^{t_i} K(t_i - s) f'(s) ds on the mesh nodes.
 
     A forcing's split f' = u0 w(0,s) k(s) + prime_bulk(s) is always used, so
-    f' is never evaluated at s = 0.  A singular part (u0 != 0, or an unsplit
-    f' ~ s^(-alpha)) is integrated by graded quadrature at every step:
+    f' is never evaluated at s = 0: the u0 part is u0 g(0, t), by the
+    definition of g, on the data's Jacobi rule.  An unsplit singular f' ~
+    s^(-alpha) is integrated by graded quadrature at every step:
     piecewise-linear interpolation of a power has scale-invariant relative
     error on the early panels, which would freeze the first errors."""
+    pair = data.pair
     t = mesh.points
     beta = 1.0 - pair.alpha0
     if forcing.has_prime_split:
         fb = np.concatenate(([0.0], _values(forcing.prime_bulk, t[1:])))
-        out = power_conv_apply(beta, t, fb)
+        out = power_conv_apply(beta, t, fb) / pair.assoc_norm
         if forcing.u0 != 0.0:
-            out[1:] += forcing.u0 * split_conv(
-                lambda s: np.asarray(weight(0.0, s)) * pair.k(s),
-                lambda x: x ** (-beta), t[1:], SPLIT_CONV_LEVELS)
-        return out / pair.assoc_norm
+            # looked up on the module, like g2table's eval_g2, so that a
+            # wrapper installed on sonine.eval_g sees this call
+            out[1:] += forcing.u0 * sonine.eval_g(data, 0.0, t[1:])
+        return out
 
     if not forcing.prime_singular_at_zero:
         return power_conv_apply(beta, t, _values(forcing.f_prime, t)) / pair.assoc_norm
@@ -355,7 +352,7 @@ def transform_first_kind_weighted(problem: FirstKindProblem, data: SonineData,
     require_wsc1(data)
     pair, weight, forcing = problem.pair, problem.weight, problem.forcing
 
-    conv = _K_conv_fprime(pair, weight, forcing, mesh)
+    conv = _K_conv_fprime(data, forcing, mesh)
     t = mesh.points
     r = np.empty(mesh.n + 1)
     # r(0+) is a nonzero finite limit when f' blows up at zero; leaving it
@@ -365,7 +362,7 @@ def transform_first_kind_weighted(problem: FirstKindProblem, data: SonineData,
     r[1:] = forcing.f0 * pair.K(t[1:]) + conv[1:]
 
     m, g2 = _memory(data, mesh)
-    return SecondKindProblem(lambda tt: weight(tt, tt), m, r, g2)
+    return SecondKindProblem(weight(t, t), m, r, g2)
 
 
 def _memory(data: SonineData, mesh: Mesh, s=None):
@@ -406,24 +403,28 @@ def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
                                  lag_factor=psi_fn)[1:]
     r[1:] += forcing.f0 * weight(0.0, t[1:]) * pair.k(t[1:])
 
-    g00 = float(weight(0.0, 0.0))
     m, g2 = _memory(data, mesh, 0.0)
-    return SecondKindProblem(lambda tt: g00, m, r, g2)
+    return SecondKindProblem(float(weight(0.0, 0.0)), m, r, g2)
 
 
 # --------------------------------------------------------------- solvers
 
-def _solve_timed(build, mesh: Mesh, data: SonineData) -> SolveReport:
-    """Step the second-kind problem build() returns; meta gets the rule size,
-    g2_table (the G2Kernel's record, None without a g2 table) and the
-    timings rhs_s (WSC1 gate and right-hand side), stepping_s and, when
-    this solve built the g2 table, g2_table_s (not in rhs_s)."""
+def solve_first_kind(problem: FirstKindProblem, mesh: Mesh,
+                     data: Optional[SonineData] = None) -> SolveReport:
+    """Solve the first-kind equation through its second-kind form; meta gets
+    the rule size, g2_table (the G2Kernel's record, None without a g2 table)
+    and the timings rhs_s (WSC1 gate and right-hand side), stepping_s and,
+    when this solve built the g2 table, g2_table_s (not in rhs_s)."""
+    if data is None:
+        data = SonineData.make(problem.pair, problem.weight)
+    transform = (transform_first_kind_weighted
+                 if problem.variant == "weighted-k" else transform_first_kind_K)
     started = time.perf_counter()
-    problem = build()
+    second = transform(problem, data, mesh)
     built = time.perf_counter()
-    rep = solve_second_kind(problem, mesh)
+    rep = solve_second_kind(second, mesh)
     timings = {"rhs_s": built - started, "stepping_s": time.perf_counter() - built}
-    g2 = problem.g2
+    g2 = second.g2
     if g2 is not None and g2.built:
         timings["rhs_s"] -= g2.table.build_s
         timings["g2_table_s"] = g2.table.build_s
@@ -433,34 +434,17 @@ def _solve_timed(build, mesh: Mesh, data: SonineData) -> SolveReport:
     return rep
 
 
-def solve_first_kind(problem: FirstKindProblem, mesh: Mesh,
-                     data: Optional[SonineData] = None) -> SolveReport:
-    """Solve the first-kind equation through its second-kind form."""
-    if data is None:
-        data = SonineData.make(problem.pair, problem.weight)
-    transform = (transform_first_kind_weighted
-                 if problem.variant == "weighted-k" else transform_first_kind_K)
-    return _solve_timed(lambda: transform(problem, data, mesh), mesh, data)
-
-
 def solve_nonlocal_ode(problem: NonlocalOdeProblem, mesh: Mesh,
                        data: Optional[SonineData] = None) -> SolveReport:
+    """d/dt int_0^t w(s,t) k(t-s) u(s) ds = f with that integral -> c at 0
+    is the weighted first-kind equation with F(0) = c and F' = f."""
     if problem.c != 0.0 and mesh.is_uniform:
         raise ValidationError(
             "c != 0 makes the solution behave like t^(alpha(0)-1); "
             "a graded mesh (r > 1) is required")
-    if data is None:
-        data = SonineData.make(problem.pair, problem.weight)
-    weight = problem.weight
-
-    def build():
-        require_wsc1(data)
-        m, g2 = _memory(data, mesh)
-        return SecondKindProblem(
-            lambda tt: weight(tt, tt), m,
-            rhs_K_conv(problem.pair, problem.forcing, problem.c, mesh), g2)
-
-    return _solve_timed(build, mesh, data)
+    forcing = Forcing(None, problem.forcing.f, problem.c)
+    return solve_first_kind(FirstKindProblem(problem.pair, problem.weight, forcing),
+                            mesh, data)
 
 
 # --------------------------------------------------------------- residuals

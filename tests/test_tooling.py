@@ -83,6 +83,11 @@ def test_tracer_installs_runs_and_uninstalls():
     from_steppers = np.isin(callers, ["vie.step", "subdiffusion.history"])
     assert not np.any(from_steppers & (spans["rung"][g2] == 0))
     assert np.any(from_steppers & (spans["rung"][g2] == 1))
+    # the u(0) g(0, t) term of the manufactured right-hand side calls
+    # sonine.eval_g from the transform itself, not only through the gate
+    g = spans["name_id"] == tracer.names.index("sonine.eval_g")
+    g_callers = names[spans["name_id"][spans["parent"][g]]]
+    assert np.any((g_callers == "vie.rhs") & (spans["rung"][g] == 1))
     assert not pde.meta["memory_skipped"]
     assert np.all(np.isfinite(pde.u))
     # one eval_g2 call per row block of the PDE stepper: [0, 32) and [32, 41)
