@@ -188,6 +188,8 @@ def cmd_solve(cfg: RunConfig, kind: str, out_dir: str) -> int:
     _note(f"solve kind={kind} N={mesh.n} done; outputs in {out_dir}")
     summary = {"command": "solve", "status": "ok", "kind": kind,
                "jacobi_nodes": rep.meta["jacobi_nodes"],
+               "mesh": rep.meta["mesh"],
+               "checks": rep.meta["checks"],
                "memory_skipped": rep.meta["memory_skipped"],
                "memory_points": rep.meta["memory_points"],
                "g2_table": rep.meta["g2_table"],

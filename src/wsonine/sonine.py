@@ -46,6 +46,10 @@ class SonineData:
     # the g2table.G2Table under "table" once g2table.g2_table has built it
     g2_cache: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+    # the WSC1 gate's VerificationReport under "wsc1" once vie.require_wsc1
+    # has run it: the verdict depends on the data alone
+    gate_cache: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     @classmethod
     def make(cls, pair: KernelPair, weight: Weight,

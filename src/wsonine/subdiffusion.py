@@ -15,7 +15,14 @@ differences with the newest panel implicit.  Each step is one tridiagonal
 solve on the LAPACK factors of shift*I - coef*Lap, factored once per
 (shift, coef) pair and reused while the pair holds: once per solve when
 the memory term is skipped and every tau is the same, at every step on a
-graded mesh.
+graded mesh.  The step matrix is symmetric positive definite whenever
+shift > 0 and coef > 0, so it is factored by LAPACK's pivot-free LDL^T
+dpttrf and solved by dpttrs; a pair whose matrix is not positive definite
+(w(t,t) < 0, or a memory term that drives the shift to <= 0) is factored
+by dgttrf instead and solved by dgttrs.  The per-step vector work (the
+near history sum, the right-hand side, Lap u_i, the solve residual and
+one max|u_i| for the finiteness and instability checks) runs in buffers
+allocated once per solve.
 
 The K-term acts on f and Lap u alike, so both share one history array V:
 row j holds f(t_j) and gains Lap u_j once step j is solved, and the K-term
@@ -36,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from .csvfile import write_csv
 from .errors import NumericalError, ValidationError
@@ -129,29 +136,42 @@ def l1_weights(alpha0: float, t: np.ndarray, a: int, b: int,
 
 
 def _factor_step(shift: float, coef: float, m: int, h: float) -> tuple:
-    """dgttrf factors (dl, d, du, du2, ipiv) of shift*I - coef*Lap on m
-    interior nodes.  The LAPACK wrapper needs 3 rows, so a smaller system
-    is padded with identity rows that do not couple to it.  A zero pivot
-    raises LinAlgError."""
+    """Factors of shift*I - coef*Lap on m interior nodes: dpttrf's LDL^T
+    (d, e) when the matrix is positive definite, else dgttrf's LU
+    (dl, d, du, du2, ipiv).  The LAPACK wrappers need 3 rows, so a smaller
+    system is padded with identity rows that do not couple to it.  A zero
+    LU pivot raises LinAlgError."""
     n = max(m, 3)
     off = np.zeros(n - 1)
     off[:m - 1] = -coef / h ** 2
     diag = np.ones(n)
     diag[:m] = shift + 2.0 * coef / h ** 2
+    d, e, info = dpttrf(diag, off)
+    if info == 0:
+        return d, e
     *factors, info = dgttrf(off, diag, off)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgttrf returned info = {info}")
     return tuple(factors)
 
 
-def solve_banded(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    """The solution of one step's system from its _factor_step factors."""
-    b = np.zeros(len(factors[1]))
+def solve_banded(factors: tuple, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out, overwritten with the solution of one step's system from its
+    _factor_step factors; rhs is left intact."""
+    ldlt = len(factors) == 2
+    n = len(factors[0 if ldlt else 1])      # the diagonal, padded rows too
+    b = out if len(out) == n else np.zeros(n)
     b[:len(rhs)] = rhs
-    x, info = dgttrs(*factors, b, overwrite_b=True)
+    if ldlt:
+        x, info = dpttrs(*factors, b, overwrite_b=True)
+    else:
+        x, info = dgttrs(*factors, b, overwrite_b=True)
     if info != 0:
-        raise np.linalg.LinAlgError(f"dgttrs returned info = {info}")
-    return x[:len(rhs)]
+        raise np.linalg.LinAlgError(
+            f"{'dpttrs' if ldlt else 'dgttrs'} returned info = {info}")
+    if b is not out:
+        out[:] = x[:len(out)]
+    return out
 
 
 def _forcing_block(f_fn, x: np.ndarray, tb: np.ndarray) -> np.ndarray:
@@ -179,7 +199,7 @@ def solve_subdiffusion(config: PdeConfig,
     mesh, pair, weight = config.mesh, config.pair, config.weight
     if data is None:
         data = SonineData.make(pair, weight)
-    require_wsc1(data)
+    checks = {"wsc1": require_wsc1(data)}
 
     t = mesh.points
     n = mesh.n
@@ -197,11 +217,14 @@ def solve_subdiffusion(config: PdeConfig,
     if np.any(np.abs(gdiag) < 1e-12):
         raise NumericalError("g(t,0) = w(t,t) vanishes on the mesh")
 
-    def lap(v):
-        out = -2.0 * v
+    h2 = h ** 2
+
+    def lap(v, out):
+        np.multiply(v, -2.0, out=out)
         out[:-1] += v[1:]
         out[1:] += v[:-1]
-        return out / h ** 2
+        out /= h2
+        return out
 
     solve_res = np.zeros(n + 1)
     memory_skipped = g2_vanishes(data.pair, data.weight)
@@ -213,6 +236,9 @@ def solve_subdiffusion(config: PdeConfig,
     # the step matrix's factors and the (shift, coef) they were made for
     factors, factored = None, None
     factorizations = 0
+    # the per-step vectors: the history sum (then coef * Lap u_i), the
+    # right-hand side, Lap u_i and the residual (first u_i / tau, then |u_i|)
+    acc, rhs, lap_u, resid = np.empty((4, m))
 
     g2 = None if memory_skipped else G2Kernel(data, memory_points(n),
                                               lambda y, x: eval_g2(data, y, x))
@@ -233,7 +259,7 @@ def solve_subdiffusion(config: PdeConfig,
         hist[a:b] = _forcing_block(f_fn, x, t[a:b])
         forcing_s += time.perf_counter() - clock
         if a == 0:
-            hist[0] += lap(u[0])
+            hist[0] += lap(u[0], lap_u)
         lw = l1_weights(pair.alpha0, t, a, b, pair.assoc_norm)
         far = lw[:, :a] @ hist[:a]
         if not memory_skipped:
@@ -242,7 +268,8 @@ def solve_subdiffusion(config: PdeConfig,
         for i in range(max(a, 1), b):
             gi = gdiag[i]
             # near part; row i of hist is still f(t_i) alone
-            acc = far[i - a] + lw[i - a, a:i + 1] @ hist[a:i + 1]
+            np.dot(lw[i - a, a:i + 1], hist[a:i + 1], out=acc)
+            acc += far[i - a]
             b_last = 0.0
             if not memory_skipped:
                 # B_j = int over panel j of g2(s, t_i - s) ds.  The memory
@@ -252,7 +279,8 @@ def solve_subdiffusion(config: PdeConfig,
                 b_panels = w0[i - a, :i] + w1[i - a, :i]
                 acc += np.diff(b_panels / tau[:i], prepend=0.0) @ u[:i]
                 b_last = b_panels[i - 1]
-            rhs = u[i - 1] / tau[i - 1] + acc / gi
+            np.divide(acc, gi, out=rhs)
+            rhs += np.divide(u[i - 1], tau[i - 1], out=resid)
 
             shift = 1.0 / tau[i - 1] + b_last / (gi * tau[i - 1])
             coef = lw[i - a, i] / gi
@@ -261,27 +289,32 @@ def solve_subdiffusion(config: PdeConfig,
                     factors = _factor_step(shift, coef, m, h)
                     factored = (shift, coef)
                     factorizations += 1
-                ui = solve_banded(factors, rhs)
+                ui = solve_banded(factors, rhs, u[i])
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(
                     f"linear solve failed at step {i} (t = {t[i]})") from exc
-            if not np.all(np.isfinite(ui)):
+            # NaN or inf in u_i make its max |u| non-finite
+            peak = np.abs(ui, out=resid).max()
+            if not np.isfinite(peak):
                 raise NumericalError(f"non-finite solution at step {i} (t = {t[i]})")
-            if np.max(np.abs(ui)) > INSTABILITY_FACTOR * scale:
+            if peak > INSTABILITY_FACTOR * scale:
                 raise NumericalError(
                     f"instability detected at step {i} (t = {t[i]}): "
-                    f"|u| = {np.max(np.abs(ui)):.3e} exceeds "
-                    f"{INSTABILITY_FACTOR:g} x scale")
-            u[i] = ui
-            lap_ui = lap(ui)
-            resid = (shift * ui - coef * lap_ui) - rhs
-            solve_res[i] = float(np.max(np.abs(resid)))
-            hist[i] += lap_ui
+                    f"|u| = {peak:.3e} exceeds {INSTABILITY_FACTOR:g} x scale")
+            lap(ui, lap_u)
+            # (shift u_i - coef Lap u_i) - rhs
+            np.multiply(ui, shift, out=resid)
+            resid -= np.multiply(lap_u, coef, out=acc)
+            resid -= rhs
+            solve_res[i] = np.abs(resid, out=resid).max()
+            hist[i] += lap_u
 
     timings["forcing_s"] = forcing_s
     timings["stepping_s"] = time.perf_counter() - started - forcing_s
     return PdeSolution(x, t.copy(), u, solve_res,
                        meta={"m": m, "n": n, "jacobi_nodes": data.rule.n,
+                             "mesh": {"n": n, "r": mesh.r},
+                             "checks": checks,
                              "memory_skipped": memory_skipped,
                              "memory_points": points,
                              "g2_table": None if g2 is None else g2.record(),

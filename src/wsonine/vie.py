@@ -187,7 +187,8 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
     (2-point Gauss on interior panels, lag_rule in the lag variable on the
     panel touching the singularity of m at y = t), skipped when m is None.
     m(y, x) gets the exact lags x = t_i - y of the builder;
-    meta["memory_points"] counts the points it was evaluated at."""
+    meta["memory_points"] counts the points it was evaluated at, and
+    meta["mesh"] records the mesh's n and r."""
     t = mesh.points
     n = mesh.n
     u = np.zeros(n + 1)
@@ -232,7 +233,8 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
                 raise NumericalError(f"non-finite solution value at t = {ti}")
     if u0 is None:
         u[0] = u[1]
-    return SolveReport(mesh, t, u, meta={"memory_skipped": problem.m is None,
+    return SolveReport(mesh, t, u, meta={"mesh": {"n": n, "r": mesh.r},
+                                         "memory_skipped": problem.m is None,
                                          "memory_points": points})
 
 
@@ -335,12 +337,20 @@ def _K_conv_fprime(data: SonineData, forcing: Forcing, mesh: Mesh) -> np.ndarray
 
 # ------------------------------------------------------------- transforms
 
-def require_wsc1(data: SonineData):
+def require_wsc1(data: SonineData) -> str:
     """The WSC1 gate every solver runs before it steps: raises ValidationError
-    when the weighted condition fails on a short sample grid."""
-    rep = wsc1_report(data, grid=[(0.0, 0.3 * data.b), (0.25 * data.b, 0.3 * data.b)])
+    when the weighted condition fails on a short sample grid.  The report is
+    kept on data, so a later gate on the same data reads its verdict, failing
+    ones too: returns "pass" when this call ran the check, else "cached"."""
+    rep = data.gate_cache.get("wsc1")
+    status = "cached"
+    if rep is None:
+        rep = data.gate_cache["wsc1"] = wsc1_report(
+            data, grid=[(0.0, 0.3 * data.b), (0.25 * data.b, 0.3 * data.b)])
+        status = "pass"
     if not rep.passed:
         raise ValidationError(f"WSC1 validation failed: {rep.summary()}")
+    return status
 
 
 def transform_first_kind_weighted(problem: FirstKindProblem, data: SonineData,
@@ -412,14 +422,17 @@ def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
 def solve_first_kind(problem: FirstKindProblem, mesh: Mesh,
                      data: Optional[SonineData] = None) -> SolveReport:
     """Solve the first-kind equation through its second-kind form; meta gets
-    the rule size, g2_table (the G2Kernel's record, None without a g2 table)
-    and the timings rhs_s (WSC1 gate and right-hand side), stepping_s and,
-    when this solve built the g2 table, g2_table_s (not in rhs_s)."""
+    the rule size, checks (the WSC1 gate's outcome, "pass" or "cached"),
+    g2_table (the G2Kernel's record, None without a g2 table) and the
+    timings rhs_s (WSC1 gate and right-hand side), stepping_s and, when
+    this solve built the g2 table, g2_table_s (not in rhs_s)."""
     if data is None:
         data = SonineData.make(problem.pair, problem.weight)
     transform = (transform_first_kind_weighted
                  if problem.variant == "weighted-k" else transform_first_kind_K)
     started = time.perf_counter()
+    # the transform gates too, and reads the verdict kept here
+    checks = {"wsc1": require_wsc1(data)}
     second = transform(problem, data, mesh)
     built = time.perf_counter()
     rep = solve_second_kind(second, mesh)
@@ -429,6 +442,7 @@ def solve_first_kind(problem: FirstKindProblem, mesh: Mesh,
         timings["rhs_s"] -= g2.table.build_s
         timings["g2_table_s"] = g2.table.build_s
     rep.meta["jacobi_nodes"] = data.rule.n
+    rep.meta["checks"] = checks
     rep.meta["g2_table"] = None if g2 is None else g2.record()
     rep.meta["timings"] = timings
     return rep

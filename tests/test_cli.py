@@ -410,6 +410,22 @@ r = 4
         assert set(summary["timings"]) == {"rhs_s", "stepping_s"}
         assert all(v >= 0.0 for v in summary["timings"].values())
 
+    @pytest.mark.parametrize("kind, cfg, mesh", [
+        ("vie1", VIE1_MANUFACTURED, {"n": 64, "r": 4.0}),
+        ("vie1k", VIE1K_CONST, {"n": 16, "r": 4.0}),
+        ("ode", ODE_SQRT, {"n": 32, "r": 4.0}),
+        # c = 0 accepts a uniform mesh, on which the ODE is first order
+        ("ode", ODE_SQRT.replace("r = 4", "uniform = true"), {"n": 32, "r": 1.0}),
+        ("pde", PDE_MANUFACTURED, {"n": 32, "r": 4.0}),
+    ], ids=["vie1", "vie1k", "ode", "ode-uniform", "pde"])
+    def test_summary_records_gate_and_mesh(self, tmp_path, capsys, kind, cfg,
+                                           mesh):
+        code, _ = run_cli(tmp_path, cfg, "solve", "--kind", kind)
+        summary, err = last_json(capsys)
+        assert code == 0, err
+        assert summary["checks"] == {"wsc1": "pass"}
+        assert summary["mesh"] == mesh
+
     @pytest.mark.parametrize("args", [("solve",), ("converge", "--doublings", "1")])
     def test_pde_zero_final_state_error_is_valid_json(self, tmp_path, capsys,
                                                       args):

@@ -71,7 +71,7 @@ def row_by_row_solve(cfg):
 def per_step_solve_banded(patch):
     """Patch the stepper back to its per-step solve: every step builds the
     banded matrix ab of shift*I - coef*Lap and calls
-    scipy.linalg.solve_banded on it."""
+    scipy.linalg.solve_banded on it (pivoted LU, as dgttrf/dgttrs)."""
     def build(shift, coef, m, h):
         ab = np.zeros((3, m))
         ab[0, 1:] = -coef / h ** 2
@@ -79,9 +79,35 @@ def per_step_solve_banded(patch):
         ab[2, :-1] = -coef / h ** 2
         return ab
 
+    def solve(ab, rhs, out):
+        out[:] = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        return out
+
     patch.setattr(subdiffusion, "_factor_step", build)
-    patch.setattr(subdiffusion, "solve_banded",
-                  lambda ab, rhs: scipy.linalg.solve_banded((1, 1), ab, rhs))
+    patch.setattr(subdiffusion, "solve_banded", solve)
+
+
+def factor_kinds(patch):
+    """Record which factorization each _factor_step call returned:
+    "ldlt" for dpttrf's (d, e), "lu" for dgttrf's five arrays."""
+    kinds = []
+    factor = subdiffusion._factor_step
+
+    def spy(*args):
+        factors = factor(*args)
+        kinds.append("ldlt" if len(factors) == 2 else "lu")
+        return factors
+
+    patch.setattr(subdiffusion, "_factor_step", spy)
+    return kinds
+
+
+def step_config(alpha, w, n, r, m):
+    f = lambda x, t: (1.0 + t) * np.sin(math.pi * x) + x * (1.0 - x)
+    return PdeConfig(m=m, mesh=Mesh(1.0, n, r),
+                     pair=KernelPair.make(alpha, normalized=True),
+                     weight=Weight.from_expr(w), forcing=f,
+                     initial=lambda x: np.sin(2.0 * math.pi * x))
 
 
 class TestL1Weights:
@@ -301,21 +327,55 @@ class TestSolver:
         ("0.5", "1 + s*(t - s)", 64, 1.0, 16, 64, 64),
         # systems below 3 rows are padded for the LAPACK wrapper
         ("0.5", "1 + s*t", 20, 1.0, 1, 20, 20),
-        ("0.5", "1", 20, 4.0, 2, 20, 20)])
+        ("0.5", "1", 20, 4.0, 2, 20, 20),
+        # the benchmark's width
+        ("0.5", "1", 32, 1.0, 2048, 1, 1)])
     def test_kept_factors_match_per_step_solve_banded(
             self, monkeypatch, alpha, w, n, r, m, lo, hi):
-        f = lambda x, t: (1.0 + t) * np.sin(math.pi * x) + x * (1.0 - x)
-        cfg = PdeConfig(m=m, mesh=Mesh(1.0, n, r),
-                        pair=KernelPair.make(alpha, normalized=True),
-                        weight=Weight.from_expr(w), forcing=f,
-                        initial=lambda x: np.sin(2.0 * math.pi * x))
-        got = solve_subdiffusion(cfg)
+        # LDL^T rounds differently from the pivoted LU of the reference:
+        # measured at most 4e-16 relative on the M <= 16 cases and 3e-14 at
+        # M = 2048, with residuals within 0.7-1.7x of the reference's
+        rtol = 1e-14 if m <= 16 else 1e-12
+        cfg = step_config(alpha, w, n, r, m)
+        with monkeypatch.context() as patch:
+            kinds = factor_kinds(patch)
+            got = solve_subdiffusion(cfg)
         with monkeypatch.context() as patch:
             per_step_solve_banded(patch)
             want = solve_subdiffusion(cfg)
         assert lo <= got.meta["factorizations"] <= hi
+        assert set(kinds) == {"ldlt"}
+        scale = float(np.max(np.abs(want.u)))
+        assert float(np.max(np.abs(got.u - want.u))) <= rtol * scale
+        assert (np.max(got.solve_residuals)
+                <= 2.0 * np.max(want.solve_residuals))
+
+    @pytest.mark.parametrize("m", [1, 2, 16])
+    def test_non_spd_step_takes_lu_branch(self, monkeypatch, m):
+        # w = -1: coef < 0, and shift*I - coef*Lap is indefinite for these
+        # tau and h (for M = 1 too: 1/tau < 2|coef|/h^2), so dpttrf reports
+        # it and dgttrf factors it: the reference's own LU, to the last bit
+        cfg = step_config("0.5", "-1", 16, 1.0, m)
+        with monkeypatch.context() as patch:
+            kinds = factor_kinds(patch)
+            got = solve_subdiffusion(cfg)
+        with monkeypatch.context() as patch:
+            per_step_solve_banded(patch)
+            want = solve_subdiffusion(cfg)
+        assert kinds == ["lu"]
         np.testing.assert_array_equal(got.u, want.u)
         np.testing.assert_array_equal(got.solve_residuals, want.solve_residuals)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("alpha, w", [("0.5", "1"),
+                                          ("0.5 + 0.2*t", "1 + s*t")])
+    def test_padded_systems_match_row_by_row_reference(self, alpha, w, m):
+        # M = 1 and 2 are padded to 3 rows for the LAPACK wrappers; the
+        # dense reference solves the unpadded M x M system
+        cfg = step_config(alpha, w, 20, 4.0, m)
+        got = solve_subdiffusion(cfg).u
+        want = row_by_row_solve(cfg)
+        assert float(np.max(np.abs(got - want))) <= 1e-12 * float(np.max(np.abs(want)))
 
     @pytest.mark.parametrize("w, r, want", [("1", 1.0, 1), ("1", 4.0, 128),
                                             # w(t, t) and the memory term
@@ -327,14 +387,32 @@ class TestSolver:
                         forcing="sin(3.141592653589793*x)", initial="0")
         assert solve_subdiffusion(cfg).meta["factorizations"] == want
 
+    @staticmethod
+    def reported_info(patch, name, value):
+        """Patch the LAPACK routine subdiffusion.<name> to report info = value."""
+        routine = getattr(subdiffusion, name)
+
+        def patched(*args, **kwargs):
+            *out, _ = routine(*args, **kwargs)
+            return (*out, value)
+
+        patch.setattr(subdiffusion, name, patched)
+
     def test_singular_factor_fails_loudly(self, monkeypatch, npair, unit_weight):
-        factor = subdiffusion.dgttrf
+        # dpttrf finds the matrix not positive definite, and dgttrf then
+        # finds a zero pivot
+        self.reported_info(monkeypatch, "dpttrf", 3)
+        self.reported_info(monkeypatch, "dgttrf", 3)
+        cfg = PdeConfig(m=8, mesh=Mesh(1.0, 16, 4.0), pair=npair,
+                        weight=unit_weight, forcing="sin(3.141592653589793*x)",
+                        initial="0")
+        with pytest.raises(NumericalError,
+                           match=r"linear solve failed at step 1 \(t = "):
+            solve_subdiffusion(cfg)
 
-        def singular(dl, d, du):
-            *factors, _ = factor(dl, d, du)
-            return (*factors, 3)
-
-        monkeypatch.setattr(subdiffusion, "dgttrf", singular)
+    def test_failed_solve_fails_loudly(self, monkeypatch, npair, unit_weight):
+        # a nonzero dpttrs info, as for an illegal argument
+        self.reported_info(monkeypatch, "dpttrs", -3)
         cfg = PdeConfig(m=8, mesh=Mesh(1.0, 16, 4.0), pair=npair,
                         weight=unit_weight, forcing="sin(3.141592653589793*x)",
                         initial="0")
@@ -442,6 +520,18 @@ class TestSolver:
                         forcing="0", initial="0")
         with pytest.raises(ValidationError):
             solve_subdiffusion(cfg)
+
+    def test_gate_and_mesh_recorded(self, npair, unit_weight):
+        # one SonineData across solves: the WSC1 verdict is read, not rerun
+        data = SonineData.make(npair, unit_weight)
+        sols = [solve_subdiffusion(PdeConfig(
+            m=4, mesh=Mesh(1.0, n, r), pair=npair, weight=unit_weight,
+            forcing="sin(3.141592653589793*x)", initial="0"), data)
+            for n, r in ((8, 4.0), (16, 1.0))]
+        assert [s.meta["checks"] for s in sols] == [{"wsc1": "pass"},
+                                                    {"wsc1": "cached"}]
+        assert [s.meta["mesh"] for s in sols] == [{"n": 8, "r": 4.0},
+                                                  {"n": 16, "r": 1.0}]
 
     def test_solution_csv(self, npair, unit_weight, tmp_path):
         cfg = PdeConfig(m=3, mesh=Mesh(1.0, 4, 4.0), pair=npair,

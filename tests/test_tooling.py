@@ -65,7 +65,11 @@ def test_tracer_installs_runs_and_uninstalls():
         # N = 40 > ROW_BLOCK: the memory term of the PDE stepper across blocks
         memory = subdiffusion.PdeConfig(4, Mesh(1.0, 40, 4.0), npair, weight,
                                         "sin(3.141592653589793*x)", "0")
-        pde = subdiffusion.solve_subdiffusion(memory)
+        data = sonine.SonineData.make(npair, weight)
+        pde = subdiffusion.solve_subdiffusion(memory, data)
+        # a second solve on the same data reads the kept WSC1 verdict
+        tracer.rung = 2
+        again = subdiffusion.solve_subdiffusion(memory, data)
     finally:
         tracer.uninstall()
     assert patched_names() == before
@@ -95,6 +99,11 @@ def test_tracer_installs_runs_and_uninstalls():
     assert np.count_nonzero(pde_g2 & (spans["rung"][g2] == 1)) == 2
     banded = spans["name_id"] == tracer.names.index("subdiffusion.banded")
     assert np.count_nonzero(banded & (spans["rung"] == 1)) == 40
+    gate = spans["name_id"] == tracer.names.index("sonine.wsc1_report")
+    assert np.count_nonzero(gate & (spans["rung"] == 1)) > 0
+    assert np.count_nonzero(gate & (spans["rung"] == 2)) == 0
+    assert again.meta["checks"] == {"wsc1": "cached"}
+    np.testing.assert_array_equal(again.u, pde.u)
 
 
 WORKLOADS = SPANS.parent / "workloads.py"

@@ -396,6 +396,65 @@ class TestFirstKind:
             solve_first_kind(prob, Mesh(1.0, 8, 4.0))
 
 
+class TestWsc1Gate:
+    @staticmethod
+    def counted_reports(monkeypatch):
+        calls = []
+        report = vie.wsc1_report
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return report(*args, **kwargs)
+
+        monkeypatch.setattr(vie, "wsc1_report", counted)
+        return calls
+
+    def test_verdict_kept_on_data(self, monkeypatch, const_pair, bilinear):
+        calls = self.counted_reports(monkeypatch)
+        data = SonineData.make(const_pair, bilinear)
+        assert vie.require_wsc1(data) == "pass"
+        assert vie.require_wsc1(data) == "cached"
+        assert calls == [data]
+        assert data.gate_cache["wsc1"].passed
+        # a new SonineData runs its own gate
+        assert vie.require_wsc1(SonineData.make(const_pair, bilinear)) == "pass"
+        assert len(calls) == 2
+
+    def test_failing_verdict_kept_and_raised_again(self, monkeypatch, const_pair):
+        calls = self.counted_reports(monkeypatch)
+        bad = SonineData.make(const_pair, Weight.from_expr("t - s", b=1.0))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="WSC1 validation failed") as exc:
+                vie.require_wsc1(bad)
+            messages.append(str(exc.value))
+        assert len(calls) == 1
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("variant", ["weighted-k", "K-kernel"])
+    def test_solve_records_gate_and_mesh(self, monkeypatch, const_pair, bilinear,
+                                         variant):
+        calls = self.counted_reports(monkeypatch)
+        data = SonineData.make(const_pair, bilinear)
+        prob = FirstKindProblem(const_pair, bilinear, Forcing.from_expr("t"),
+                                variant=variant)
+        first = solve_first_kind(prob, Mesh(1.0, 8, 4.0), data)
+        second = solve_first_kind(prob, Mesh(1.0, 16, 4.0), data)
+        assert first.meta["checks"] == {"wsc1": "pass"}
+        assert second.meta["checks"] == {"wsc1": "cached"}
+        assert len(calls) == 1
+        assert first.meta["mesh"] == {"n": 8, "r": 4.0}
+        assert second.meta["mesh"] == {"n": 16, "r": 4.0}
+        np.testing.assert_array_equal(
+            second.u, solve_first_kind(prob, Mesh(1.0, 16, 4.0)).u)
+
+    def test_nonlocal_ode_records_uniform_mesh(self, const_pair, bilinear):
+        # c = 0 accepts a uniform mesh; the record says which one was used
+        prob = NonlocalOdeProblem(const_pair, bilinear, Forcing.from_expr("1"))
+        rep = solve_nonlocal_ode(prob, Mesh(1.0, 8))
+        assert rep.meta["mesh"] == {"n": 8, "r": 1.0}
+
+
 def split_conv_reference(left_factor, right_lag_factor, ti):
     """int_0^ti left(s) right(ti - s) ds by split_conv on the one node ti."""
     return split_conv(left_factor, right_lag_factor, [ti], vie.SPLIT_CONV_LEVELS)[0]
