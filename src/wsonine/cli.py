@@ -196,6 +196,8 @@ def cmd_solve(cfg: RunConfig, kind: str, out_dir: str) -> int:
                "timings": rep.meta["timings"]}
     if kind == "pde":
         summary["factorizations"] = rep.meta["factorizations"]
+    else:
+        summary["oracle"] = rep.meta["oracle"]
     if max_res is not None:
         summary["max_residual"] = max_res
     if err is not None:

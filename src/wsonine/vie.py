@@ -24,7 +24,7 @@ import numpy as np
 from .csvfile import write_csv
 from . import sonine
 from .errors import DomainError, NumericalError, ValidationError
-from .expr import ExprAst, as_function, diff_expr, parse_expr
+from .expr import ExprAst, as_function, diff_expr, parse_expr, substitute
 from .kernels import KernelPair, Weight
 # graded_panel_quad stays bound here: the benchmark's span tracer patches it
 from .quadrature import (DEFAULT_PANEL_LEVELS, ROW_BLOCK, Mesh,  # noqa: F401
@@ -56,10 +56,40 @@ class Forcing:
     prime_singular_at_zero: bool = False
     prime_bulk: Optional[Callable] = None
     u0: Optional[float] = None
+    # prime_bulk at the mesh nodes bulk_on_nodes has been asked for, as
+    # sorted "nodes" and their "values"
+    node_cache: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     @property
     def has_prime_split(self) -> bool:
         return self.prime_bulk is not None and self.u0 is not None
+
+    def bulk_on_nodes(self, t: np.ndarray) -> tuple:
+        """prime_bulk on the 1-D nodes t > 0, each distinct node computed
+        once per forcing: nodes kept from earlier calls are looked up by
+        exact value, and prime_bulk runs once, on the rest.  Returns the
+        values and {"nodes": computed, "reused": read from the cache,
+        "s": seconds in prime_bulk}.  prime_bulk reduces each node on its
+        own, so the values do not depend on what was cached."""
+        kept = self.node_cache.get("nodes", np.empty(0))
+        kept_values = self.node_cache.get("values", np.empty(0))
+        out = np.empty(t.size)
+        hit = np.zeros(t.size, dtype=bool)
+        if kept.size:
+            i = np.minimum(np.searchsorted(kept, t), kept.size - 1)
+            hit = kept[i] == t
+            out[hit] = kept_values[i[hit]]
+        new = t[~hit]
+        started = time.perf_counter()
+        if new.size:
+            out[~hit] = values = self.prime_bulk(new)
+            nodes = np.concatenate((kept, new))
+            order = np.argsort(nodes)
+            self.node_cache["nodes"] = nodes[order]
+            self.node_cache["values"] = np.concatenate((kept_values, values))[order]
+        return out, {"nodes": int(new.size), "reused": int(t.size - new.size),
+                     "s": time.perf_counter() - started}
 
     @classmethod
     def from_expr(cls, f) -> "Forcing":
@@ -77,10 +107,16 @@ class Forcing:
 
 def manufactured_forcing(pair: KernelPair, weight: Weight, u) -> Forcing:
     """Forcing for the weighted first-kind equation whose exact solution is
-    the expression u(t), computed by graded-panel oracle quadrature."""
+    the expression u(t), computed by graded-panel oracle quadrature.
+
+    Both integrands form the lag s = t - z once and evaluate each
+    expression at its own broadcast shape, so a constant u' stays a
+    scalar."""
     u_ast = parse_expr(u) if isinstance(u, str) else u
-    u_fn = as_function(u_ast)
-    up_fn = as_function(diff_expr(u_ast, "t"))
+    extra = u_ast.variables() - {"t"}
+    if extra:
+        raise ValidationError(f"unexpected variables {sorted(extra)} in '{u_ast}'")
+    up_ast = diff_expr(u_ast, "t")
     u0 = float(u_ast.eval({"t": 0.0}))
 
     def oracle(integrand):
@@ -96,14 +132,14 @@ def manufactured_forcing(pair: KernelPair, weight: Weight, u) -> Forcing:
 
     @oracle
     def f(z, t):
-        return np.asarray(weight(t - z, t)) * pair.k(z) * np.asarray(u_fn(t - z))
+        s = t - z
+        return weight(s, t) * pair.k(z) * u_ast.eval({"t": s})
 
     @oracle
     def prime_bulk(z, t):
-        return pair.k(z) * (
-            (np.asarray(weight.ds(t - z, t)) + np.asarray(weight.dt(t - z, t)))
-            * np.asarray(u_fn(t - z))
-            + np.asarray(weight(t - z, t)) * np.asarray(up_fn(t - z)))
+        s = t - z
+        return pair.k(z) * ((weight.ds(s, t) + weight.dt(s, t)) * u_ast.eval({"t": s})
+                            + weight(s, t) * up_ast.eval({"t": s}))
 
     def f_prime(t):
         if np.any(np.asarray(t) <= 0.0):
@@ -152,6 +188,8 @@ class SecondKindProblem:
     r: np.ndarray                    # right-hand side on the nodes, as d;
                                      # a non-finite r[0] means no u(0)
     g2: Optional[G2Kernel] = None    # the g2 kernel behind m, when it is one
+    oracle: Optional[dict] = None    # Forcing.bulk_on_nodes's record, when
+                                     # r was built from a prime_bulk split
 
 
 @dataclass
@@ -305,12 +343,14 @@ def _values(fn, x):
     return np.broadcast_to(np.asarray(fn(x), dtype=float), np.shape(x))
 
 
-def _K_conv_fprime(data: SonineData, forcing: Forcing, mesh: Mesh) -> np.ndarray:
-    """int_0^{t_i} K(t_i - s) f'(s) ds on the mesh nodes.
+def _K_conv_fprime(data: SonineData, forcing: Forcing, mesh: Mesh) -> tuple:
+    """int_0^{t_i} K(t_i - s) f'(s) ds on the mesh nodes, with the record
+    of Forcing.bulk_on_nodes (None without a prime_bulk split).
 
     A forcing's split f' = u0 w(0,s) k(s) + prime_bulk(s) is always used, so
     f' is never evaluated at s = 0: the u0 part is u0 g(0, t), by the
-    definition of g, on the data's Jacobi rule.  An unsplit singular f' ~
+    definition of g, on the data's Jacobi rule, and the bulk is read
+    through the forcing's node cache.  An unsplit singular f' ~
     s^(-alpha) is integrated by graded quadrature at every step:
     piecewise-linear interpolation of a power has scale-invariant relative
     error on the early panels, which would freeze the first errors."""
@@ -318,21 +358,22 @@ def _K_conv_fprime(data: SonineData, forcing: Forcing, mesh: Mesh) -> np.ndarray
     t = mesh.points
     beta = 1.0 - pair.alpha0
     if forcing.has_prime_split:
-        fb = np.concatenate(([0.0], _values(forcing.prime_bulk, t[1:])))
+        fb = np.zeros(mesh.n + 1)
+        fb[1:], oracle = forcing.bulk_on_nodes(t[1:])
         out = power_conv_apply(beta, t, fb) / pair.assoc_norm
         if forcing.u0 != 0.0:
             # looked up on the module, like g2table's eval_g2, so that a
             # wrapper installed on sonine.eval_g sees this call
             out[1:] += forcing.u0 * sonine.eval_g(data, 0.0, t[1:])
-        return out
+        return out, oracle
 
     if not forcing.prime_singular_at_zero:
-        return power_conv_apply(beta, t, _values(forcing.f_prime, t)) / pair.assoc_norm
+        return power_conv_apply(beta, t, _values(forcing.f_prime, t)) / pair.assoc_norm, None
 
     out = np.zeros(mesh.n + 1)
     out[1:] = split_conv(forcing.f_prime, lambda x: x ** (-beta), t[1:],
                          SPLIT_CONV_LEVELS) / pair.assoc_norm
-    return out
+    return out, None
 
 
 # ------------------------------------------------------------- transforms
@@ -362,7 +403,7 @@ def transform_first_kind_weighted(problem: FirstKindProblem, data: SonineData,
     require_wsc1(data)
     pair, weight, forcing = problem.pair, problem.weight, problem.forcing
 
-    conv = _K_conv_fprime(data, forcing, mesh)
+    conv, oracle = _K_conv_fprime(data, forcing, mesh)
     t = mesh.points
     r = np.empty(mesh.n + 1)
     # r(0+) is a nonzero finite limit when f' blows up at zero; leaving it
@@ -372,7 +413,7 @@ def transform_first_kind_weighted(problem: FirstKindProblem, data: SonineData,
     r[1:] = forcing.f0 * pair.K(t[1:]) + conv[1:]
 
     m, g2 = _memory(data, mesh)
-    return SecondKindProblem(weight(t, t), m, r, g2)
+    return SecondKindProblem(weight(t, t), m, r, g2, oracle)
 
 
 def _memory(data: SonineData, mesh: Mesh, s=None):
@@ -382,6 +423,18 @@ def _memory(data: SonineData, mesh: Mesh, s=None):
         return None, None
     g2 = G2Kernel(data, memory_points(mesh.n), lambda s, x: eval_g2(data, s, x))
     return (g2 if s is None else lambda y, x: g2(s, x)), g2
+
+
+def _constant_psi(pair: KernelPair, weight: Weight) -> Optional[float]:
+    """psi(s) = w(0,s) k_smooth_part(s) as a float when it is constant: the
+    exponent is constant and w(0,s) folds to a constant, as in
+    g2_vanishes; else None."""
+    if not pair.exponent.is_constant:
+        return None
+    w0 = substitute(weight.w, {"s": 0.0})
+    if w0.kind != "const":
+        return None
+    return w0.value * float(pair.k_smooth_part(0.0))
 
 
 def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
@@ -408,9 +461,16 @@ def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
     else:
         # s -> t_i - s puts the power at the right end and f' on the graded
         # mesh itself, where any weak singularity of f' at zero is resolved;
-        # psi is smooth, so evaluating it at the lags costs no accuracy
-        r[1:] = power_conv_apply(pair.alpha0, t, _values(forcing.f_prime, t),
-                                 lag_factor=psi_fn)[1:]
+        # psi is smooth, so evaluating it at the lags costs no accuracy,
+        # and a constant psi comes out of the sum
+        fp = _values(forcing.f_prime, t)
+        c = _constant_psi(pair, weight)
+        if c is None:
+            r[1:] = power_conv_apply(pair.alpha0, t, fp, lag_factor=psi_fn)[1:]
+        else:
+            r[1:] = power_conv_apply(pair.alpha0, t, fp)[1:]
+            if c != 1.0:
+                r[1:] *= c
     r[1:] += forcing.f0 * weight(0.0, t[1:]) * pair.k(t[1:])
 
     m, g2 = _memory(data, mesh, 0.0)
@@ -423,9 +483,13 @@ def solve_first_kind(problem: FirstKindProblem, mesh: Mesh,
                      data: Optional[SonineData] = None) -> SolveReport:
     """Solve the first-kind equation through its second-kind form; meta gets
     the rule size, checks (the WSC1 gate's outcome, "pass" or "cached"),
-    g2_table (the G2Kernel's record, None without a g2 table) and the
-    timings rhs_s (WSC1 gate and right-hand side), stepping_s and, when
-    this solve built the g2 table, g2_table_s (not in rhs_s)."""
+    g2_table (the G2Kernel's record, None without a g2 table), oracle
+    ({"nodes", "reused"}: the prime_bulk nodes the right-hand side
+    computed and read from the forcing's cache, None when it reads no
+    prime_bulk split) and the timings rhs_s (WSC1 gate and right-hand
+    side), stepping_s, oracle_s (the prime_bulk call, part of rhs_s) with
+    an oracle record and, when this solve built the g2 table, g2_table_s
+    (not in rhs_s)."""
     if data is None:
         data = SonineData.make(problem.pair, problem.weight)
     transform = (transform_first_kind_weighted
@@ -441,9 +505,14 @@ def solve_first_kind(problem: FirstKindProblem, mesh: Mesh,
     if g2 is not None and g2.built:
         timings["rhs_s"] -= g2.table.build_s
         timings["g2_table_s"] = g2.table.build_s
+    oracle = second.oracle
+    if oracle is not None:
+        timings["oracle_s"] = oracle["s"]
     rep.meta["jacobi_nodes"] = data.rule.n
     rep.meta["checks"] = checks
     rep.meta["g2_table"] = None if g2 is None else g2.record()
+    rep.meta["oracle"] = None if oracle is None else {
+        "nodes": oracle["nodes"], "reused": oracle["reused"]}
     rep.meta["timings"] = timings
     return rep
 

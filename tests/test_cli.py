@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from wsonine import vie
 from wsonine.cli import main
 from wsonine.kernels import KernelPair
 from wsonine.config import RunConfig, parse_sections
@@ -359,7 +361,8 @@ r = 4
         table = summary["g2_table"]
         assert table["rank"] == 2 and table["fallback"] is None
         assert table["check_error"] <= 1e-12 and table["below_points"] == 0
-        assert set(summary["timings"]) == {"rhs_s", "stepping_s", "g2_table_s"}
+        assert set(summary["timings"]) == {"rhs_s", "stepping_s", "g2_table_s",
+                                           "oracle_s"}
         assert summary["timings"]["g2_table_s"] == table["build_s"]
         assert summary["error"] <= 1e-3
 
@@ -398,17 +401,24 @@ r = 4
         assert set(summary["timings"]) == {"forcing_s", "stepping_s"}
         assert all(v >= 0.0 for v in summary["timings"].values())
 
-    @pytest.mark.parametrize("kind, cfg", [
-        ("vie1", VIE1_MANUFACTURED),
-        ("vie1k", VIE1K_CONST),
-        ("ode", ODE_SQRT),
+    # a single solve computes every prime_bulk node; only a manufactured
+    # weighted right-hand side reads a prime_bulk split, and times it
+    @pytest.mark.parametrize("kind, cfg, oracle", [
+        ("vie1", VIE1_MANUFACTURED, {"nodes": 64, "reused": 0}),
+        ("vie1k", VIE1K_CONST, None),
+        ("ode", ODE_SQRT, None),
     ], ids=["vie1", "vie1k", "ode"])
-    def test_volterra_summary_has_timings(self, tmp_path, capsys, kind, cfg):
+    def test_volterra_summary_has_timings(self, tmp_path, capsys, kind, cfg,
+                                          oracle):
         code, _ = run_cli(tmp_path, cfg, "solve", "--kind", kind)
         summary, err = last_json(capsys)
         assert code == 0, err
-        assert set(summary["timings"]) == {"rhs_s", "stepping_s"}
+        extra = set() if oracle is None else {"oracle_s"}
+        assert set(summary["timings"]) == {"rhs_s", "stepping_s"} | extra
         assert all(v >= 0.0 for v in summary["timings"].values())
+        assert summary["oracle"] == oracle
+        if oracle is not None:
+            assert summary["timings"]["oracle_s"] <= summary["timings"]["rhs_s"]
 
     @pytest.mark.parametrize("kind, cfg, mesh", [
         ("vie1", VIE1_MANUFACTURED, {"n": 64, "r": 4.0}),
@@ -470,16 +480,30 @@ class TestConverge:
 
     def test_one_sonine_data_per_study(self, tmp_path, capsys, monkeypatch):
         # N = 32 .. 256: the g2 table is built at N = 128 and read at 256;
-        # each row is bit for bit what `solve` gives at that N alone
-        made = []
+        # one forcing serves the study, whose nested meshes have 256
+        # distinct nodes t > 0, each computed once by prime_bulk; each row
+        # is bit for bit what `solve` gives at that N alone, on a fresh forcing
+        made, forcings, bulk_nodes = [], [], []
         make = SonineData.make.__func__
         monkeypatch.setattr(SonineData, "make", classmethod(
             lambda cls, *args: made.append(args) or make(cls, *args)))
+        manufactured = vie.manufactured_forcing
+
+        def counted_forcing(*args):
+            fc = manufactured(*args)
+            bulk = fc.prime_bulk
+            fc.prime_bulk = lambda t: bulk_nodes.append(np.size(t)) or bulk(t)
+            forcings.append(fc)
+            return fc
+
+        monkeypatch.setattr(vie, "manufactured_forcing", counted_forcing)
         cfg = VIE1_VARIABLE.replace("n = 64", "n = 32")
         code, out = run_cli(tmp_path, cfg, "converge", "--kind", "vie1",
                             "--doublings", "3")
         last_json(capsys)
-        assert code == 0 and len(made) == 1
+        assert code == 0 and len(made) == 1 and len(forcings) == 1
+        assert bulk_nodes == [32, 32, 64, 128]
+        assert forcings[0].node_cache["nodes"].size == 256
         rows = (out / "convergence.csv").read_text().splitlines()[1:]
         for row in rows:
             n, err, _ = row.split(",")

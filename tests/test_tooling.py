@@ -60,8 +60,9 @@ def test_tracer_installs_runs_and_uninstalls():
         # u(0) != 0 through the timed manufactured oracle: the vie1-var path
         oracle = vie.manufactured_forcing(var.pair, weight, "1 + t")
         tracer.wrap_oracle(oracle)
-        vie.solve_first_kind(vie.FirstKindProblem(var.pair, weight, oracle),
-                             Mesh(1.0, 40, 4.0))
+        manufactured = vie.FirstKindProblem(var.pair, weight, oracle)
+        var_data = sonine.SonineData.make(var.pair, weight)
+        vie.solve_first_kind(manufactured, Mesh(1.0, 40, 4.0), var_data)
         # N = 40 > ROW_BLOCK: the memory term of the PDE stepper across blocks
         memory = subdiffusion.PdeConfig(4, Mesh(1.0, 40, 4.0), npair, weight,
                                         "sin(3.141592653589793*x)", "0")
@@ -70,6 +71,8 @@ def test_tracer_installs_runs_and_uninstalls():
         # a second solve on the same data reads the kept WSC1 verdict
         tracer.rung = 2
         again = subdiffusion.solve_subdiffusion(memory, data)
+        # the same forcing on the same mesh reads every node from its cache
+        cached = vie.solve_first_kind(manufactured, Mesh(1.0, 40, 4.0), var_data)
     finally:
         tracer.uninstall()
     assert patched_names() == before
@@ -92,6 +95,18 @@ def test_tracer_installs_runs_and_uninstalls():
     g = spans["name_id"] == tracer.names.index("sonine.eval_g")
     g_callers = names[spans["name_id"][spans["parent"][g]]]
     assert np.any((g_callers == "vie.rhs") & (spans["rung"][g] == 1))
+    # the oracle's integrands evaluate their expressions through
+    # ExprAst.eval, where the tracer sees them; a second solve on the same
+    # forcing and mesh calls no oracle from its right-hand side
+    ev = spans["name_id"] == tracer.names.index("expr.eval")
+    ev_callers = names[spans["name_id"][spans["parent"][ev]]]
+    assert np.any((ev_callers == "vie.oracle") & (spans["rung"][ev] == 1))
+    assert np.any(spans["rung"][ev] == 2)
+    orc = spans["name_id"] == tracer.names.index("vie.oracle")
+    orc_callers = names[spans["name_id"][spans["parent"][orc]]]
+    assert np.any((orc_callers == "vie.rhs") & (spans["rung"][orc] == 1))
+    assert not np.any(spans["rung"][orc] == 2)
+    assert cached.meta["oracle"] == {"nodes": 0, "reused": 40}
     assert not pde.meta["memory_skipped"]
     assert np.all(np.isfinite(pde.u))
     # one eval_g2 call per row block of the PDE stepper: [0, 32) and [32, 41)

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from wsonine import g2table, vie
 from wsonine.errors import DomainError, NumericalError, ValidationError
-from wsonine.expr import as_function
+from wsonine.expr import as_function, diff_expr, parse_expr
 from wsonine.kernels import KernelPair, Weight
-from wsonine.quadrature import (MEMORY_PANEL_NODES, Mesh, lag_rule,
-                                memory_points, power_conv_rows, split_conv)
+from wsonine.quadrature import (DEFAULT_PANEL_LEVELS, MEMORY_PANEL_NODES, Mesh,
+                                graded_rows, lag_rule, memory_points,
+                                power_conv_rows, split_conv)
 from wsonine.g2table import G2_TABLE_MIN_POINTS
 from wsonine.sonine import SonineData
 from wsonine.vie import (FirstKindProblem, Forcing, NonlocalOdeProblem,
@@ -58,7 +59,56 @@ class TestForcing:
         np.testing.assert_array_equal(fc.f(np.array([0.1, 0.2])), [2.0, 2.0])
 
 
+def old_manufactured_integrands(pair, weight, u):
+    """The manufactured oracle's f and prime_bulk as they were before the
+    lag was formed once, kept as a reference: every factor evaluated by
+    itself, u and u' through as_function at the full shape."""
+    u_fn = as_function(u)
+    up_fn = as_function(diff_expr(parse_expr(u), "t"))
+
+    def oracle(integrand):
+        def fn(t):
+            t = np.asarray(t, dtype=float)
+            out = np.zeros(t.shape)
+            pos = t > 0.0
+            out[pos] = graded_rows(integrand, t[pos], DEFAULT_PANEL_LEVELS)
+            return out
+        return fn
+
+    @oracle
+    def f(z, t):
+        return np.asarray(weight(t - z, t)) * pair.k(z) * np.asarray(u_fn(t - z))
+
+    @oracle
+    def prime_bulk(z, t):
+        return pair.k(z) * (
+            (np.asarray(weight.ds(t - z, t)) + np.asarray(weight.dt(t - z, t)))
+            * np.asarray(u_fn(t - z))
+            + np.asarray(weight(t - z, t)) * np.asarray(up_fn(t - z)))
+
+    return f, prime_bulk
+
+
 class TestManufacturedForcing:
+    @pytest.mark.parametrize("u", ["1", "1 + t", "t", "cos(t)"])
+    @pytest.mark.parametrize("weight", ["1", "1 + s*t", "exp(-(t - s))"])
+    @pytest.mark.parametrize("alpha, normalized", [
+        ("0.5", False), ("0.5 + 0.1*t", False), ("0.9 + 0.05*sin(t)", False),
+        ("0.3 + 0.4*t^2", True)])
+    def test_fused_integrands_match_old_bit_for_bit(self, alpha, normalized,
+                                                    weight, u):
+        pair = KernelPair.make(alpha, normalized=normalized)
+        w = Weight.from_expr(weight)
+        fc = manufactured_forcing(pair, w, u)
+        old_f, old_bulk = old_manufactured_integrands(pair, w, u)
+        t = Mesh(1.0, 16, 4.0).points
+        np.testing.assert_array_equal(fc.f(t), old_f(t))
+        np.testing.assert_array_equal(fc.prime_bulk(t), old_bulk(t))
+
+    def test_solution_in_t_only(self, const_pair, bilinear):
+        with pytest.raises(ValidationError, match="unexpected variables"):
+            manufactured_forcing(const_pair, bilinear, "1 + s")
+
     def test_value_oracle_constant_solution(self, const_pair, bilinear):
         # u = 1, w = 1 + s*t, k = s^(-1/2):
         # f(t) = 2 sqrt(t) + (4/3) t^(5/2)
@@ -455,6 +505,73 @@ class TestWsc1Gate:
         assert rep.meta["mesh"] == {"n": 8, "r": 1.0}
 
 
+class TestOracleNodeCache:
+    """A forcing computes prime_bulk once per distinct mesh node; values read
+    back from its cache are the bits a fresh forcing computes."""
+
+    @staticmethod
+    def setting():
+        pair = KernelPair.make("0.5 + 0.1*t")
+        weight = Weight.from_expr("1 + s*t")
+        return pair, weight, SonineData.make(pair, weight)
+
+    @staticmethod
+    def solve(pair, weight, data, forcing, mesh):
+        return solve_first_kind(FirstKindProblem(pair, weight, forcing), mesh, data)
+
+    def test_nested_meshes_match_fresh_forcings(self):
+        pair, weight, data = self.setting()
+        shared = manufactured_forcing(pair, weight, "1 + t")
+        coarse, fine = Mesh(1.0, 32, 4.0), Mesh(1.0, 64, 4.0)
+        records = []
+        for mesh in (coarse, fine, fine):
+            rep = self.solve(pair, weight, data, shared, mesh)
+            fresh = self.solve(pair, weight, data,
+                               manufactured_forcing(pair, weight, "1 + t"), mesh)
+            np.testing.assert_array_equal(rep.u, fresh.u)
+            assert fresh.meta["oracle"] == {"nodes": mesh.n, "reused": 0}
+            records.append(rep.meta["oracle"])
+        # the coarse nodes are the fine mesh's even nodes, bit for bit
+        assert records == [{"nodes": 32, "reused": 0}, {"nodes": 32, "reused": 32},
+                           {"nodes": 0, "reused": 64}]
+        np.testing.assert_array_equal(shared.node_cache["nodes"], fine.points[1:])
+        assert 0.0 <= rep.meta["timings"]["oracle_s"] <= rep.meta["timings"]["rhs_s"]
+
+    def test_other_grading_reuses_only_shared_nodes(self):
+        pair, weight, data = self.setting()
+        shared = manufactured_forcing(pair, weight, "1 + t")
+        first, other = Mesh(1.0, 32, 4.0), Mesh(1.0, 32, 2.0)
+        self.solve(pair, weight, data, shared, first)
+        rep = self.solve(pair, weight, data, shared, other)
+        fresh = self.solve(pair, weight, data,
+                           manufactured_forcing(pair, weight, "1 + t"), other)
+        np.testing.assert_array_equal(rep.u, fresh.u)
+        # (i/32)^4 = (j/32)^2 at i = 8, 16, 24, 32: t = 1/256, 1/16, 0.31640625, 1
+        common = np.intersect1d(first.points[1:], other.points[1:])
+        assert common.size == 4
+        assert rep.meta["oracle"] == {"nodes": 28, "reused": 4}
+        assert shared.node_cache["nodes"].size == 60
+
+    def test_blocks_bypass_the_cache(self):
+        pair, weight, data = self.setting()
+        fc = manufactured_forcing(pair, weight, "1 + t")
+        self.solve(pair, weight, data, fc, Mesh(1.0, 16, 4.0))
+        nodes, values = fc.node_cache["nodes"], fc.node_cache["values"]
+        block = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        fc.f_prime(block)
+        fc.prime_bulk(block)
+        assert fc.node_cache["nodes"] is nodes and fc.node_cache["values"] is values
+        assert nodes.size == 16
+
+    def test_no_split_no_record(self, const_pair, bilinear, const_data):
+        for variant in ("weighted-k", "K-kernel"):
+            prob = FirstKindProblem(const_pair, bilinear, Forcing.from_expr("t"),
+                                    variant=variant)
+            rep = solve_first_kind(prob, Mesh(1.0, 8, 4.0), const_data)
+            assert rep.meta["oracle"] is None
+            assert "oracle_s" not in rep.meta["timings"]
+
+
 def split_conv_reference(left_factor, right_lag_factor, ti):
     """int_0^ti left(s) right(ti - s) ds by split_conv on the one node ti."""
     return split_conv(left_factor, right_lag_factor, [ti], vie.SPLIT_CONV_LEVELS)[0]
@@ -524,6 +641,42 @@ class TestRightHandSides:
         got = transform_first_kind_K(prob, SonineData.make(pair, bilinear), self.MESH).r
         np.testing.assert_allclose(got[1:], k_kernel_rhs_reference(prob, self.MESH),
                                    rtol=1e-14, atol=0.0)
+
+    @staticmethod
+    def lag_factor_rhs(problem, mesh):
+        """r[1:] of transform_first_kind_K with psi always applied to the
+        lags of each block, as before a constant psi was taken out."""
+        pair, weight, t = problem.pair, problem.weight, mesh.points
+        psi = lambda s: (np.asarray(weight(np.zeros_like(np.asarray(s, float)), s))
+                         * np.asarray(pair.k_smooth_part(s)))
+        fp = np.broadcast_to(np.asarray(problem.forcing.f_prime(t), float), t.shape)
+        r = vie.power_conv_apply(pair.alpha0, t, fp, lag_factor=psi)[1:]
+        return r + problem.forcing.f0 * weight(0.0, t[1:]) * pair.k(t[1:])
+
+    @pytest.mark.parametrize("alpha, normalized, weight, folded, rtol", [
+        ("0.5", False, "1 + 1.1*s*t", True, 0.0),
+        ("0.5", False, "2 + s*t", True, 1e-15),
+        ("0.45", True, "1 + s*t", True, 1e-15),
+        ("0.5", False, "exp(-(t - s))", False, 0.0),
+        ("0.5 + 0.1*t", False, "1 + s*t", False, 0.0),
+    ], ids=["psi-one", "psi-two", "psi-normalized", "psi-exp", "psi-variable"])
+    def test_k_kernel_constant_psi_taken_out(self, monkeypatch, alpha, normalized,
+                                             weight, folded, rtol):
+        # a constant psi = w(0,s) k_smooth_part(s) makes one product-integration
+        # sum without lag factor, times psi unless psi = 1 (then bit for bit);
+        # any other psi keeps the lag factor
+        pair = KernelPair.make(alpha, normalized=normalized)
+        w = Weight.from_expr(weight)
+        prob = FirstKindProblem(pair, w, Forcing.from_expr("t + t^1.5"),
+                                variant="K-kernel")
+        want = self.lag_factor_rhs(prob, self.MESH)
+        factors = []
+        apply = vie.power_conv_apply
+        monkeypatch.setattr(vie, "power_conv_apply", lambda *a, **k: (
+            factors.append(k.get("lag_factor")) or apply(*a, **k)))
+        got = transform_first_kind_K(prob, SonineData.make(pair, w), self.MESH).r[1:]
+        assert len(factors) == 1 and (factors[0] is None) == folded
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
 
     # the reference integrates the u0 part by split_conv, the transform takes
     # it as u0 g(0, t) on the Jacobi rule; at alpha = 0.9 + 0.05 sin t they
