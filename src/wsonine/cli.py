@@ -31,8 +31,9 @@ EXIT_VERIFY = 3
 EXIT_NUMERICAL = 4
 
 _SOLVE_KINDS = ("vie1", "vie1k", "ode", "pde")
-# [forcing] manufactured builds f of a first-kind equation from its solution
-_MANUFACTURED_KINDS = ("vie1", "vie1k")
+# [forcing] manufactured builds f of the weighted first-kind equation from its
+# solution; the K-kernel equation (vie1k) has no manufactured forcing yet
+_MANUFACTURED_KINDS = ("vie1",)
 
 
 def _emit(summary: dict) -> None:
@@ -127,8 +128,9 @@ class _Run:
 
     def __init__(self, cfg: RunConfig, kind: str):
         if cfg.manufactured and kind not in _MANUFACTURED_KINDS:
-            raise ConfigError(f"manufactured = true builds a first-kind forcing, for "
-                              f"--kind {' or '.join(_MANUFACTURED_KINDS)} only, not {kind}")
+            raise ConfigError(f"manufactured = true builds the weighted first-kind "
+                              f"forcing, for --kind {' or '.join(_MANUFACTURED_KINDS)} "
+                              f"only, not {kind}")
         self.cfg, self.kind = cfg, kind
         self.pair = cfg.make_pair()
         self.weight = cfg.make_weight()

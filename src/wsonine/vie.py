@@ -100,9 +100,7 @@ class Forcing:
 
     @classmethod
     def constant(cls, value: float) -> "Forcing":
-        return cls(lambda t: np.full_like(np.asarray(t, float), value) if np.ndim(t) else value,
-                   lambda t: np.zeros_like(np.asarray(t, float)) if np.ndim(t) else 0.0,
-                   float(value))
+        return cls.from_expr(ExprAst("const", float(value)))
 
 
 def manufactured_forcing(pair: KernelPair, weight: Weight, u) -> Forcing:
@@ -343,37 +341,45 @@ def _values(fn, x):
     return np.broadcast_to(np.asarray(fn(x), dtype=float), np.shape(x))
 
 
-def _K_conv_fprime(data: SonineData, forcing: Forcing, mesh: Mesh) -> tuple:
-    """int_0^{t_i} K(t_i - s) f'(s) ds on the mesh nodes, with the record
-    of Forcing.bulk_on_nodes (None without a prime_bulk split).
+def _first_kind_rhs(forcing: Forcing, t: np.ndarray, power: float, psi,
+                    norm: float, f0_term, u0_part=None) -> tuple:
+    """r = F(0) kappa(t) + int_0^t kappa(t - s) F'(s) ds on the nodes t, with
+    kappa(x) = x^(-power) psi(x) / norm and psi None (1), a float or a
+    callable of the lag; f0_term is F(0) kappa on t[1:].  Returns r and the
+    record of Forcing.bulk_on_nodes (None without a prime_bulk split).
 
-    A forcing's split f' = u0 w(0,s) k(s) + prime_bulk(s) is always used, so
-    f' is never evaluated at s = 0: the u0 part is u0 g(0, t), by the
-    definition of g, on the data's Jacobi rule, and the bulk is read
-    through the forcing's node cache.  An unsplit singular f' ~
-    s^(-alpha) is integrated by graded quadrature at every step:
-    piecewise-linear interpolation of a power has scale-invariant relative
-    error on the early panels, which would freeze the first errors."""
-    pair = data.pair
-    t = mesh.points
-    beta = 1.0 - pair.alpha0
-    if forcing.has_prime_split:
-        fb = np.zeros(mesh.n + 1)
-        fb[1:], oracle = forcing.bulk_on_nodes(t[1:])
-        out = power_conv_apply(beta, t, fb) / pair.assoc_norm
-        if forcing.u0 != 0.0:
-            # looked up on the module, like g2table's eval_g2, so that a
-            # wrapper installed on sonine.eval_g sees this call
-            out[1:] += forcing.u0 * sonine.eval_g(data, 0.0, t[1:])
-        return out, oracle
-
-    if not forcing.prime_singular_at_zero:
-        return power_conv_apply(beta, t, _values(forcing.f_prime, t)) / pair.assoc_norm, None
-
-    out = np.zeros(mesh.n + 1)
-    out[1:] = split_conv(forcing.f_prime, lambda x: x ** (-beta), t[1:],
-                         SPLIT_CONV_LEVELS) / pair.assoc_norm
-    return out, None
+    A split F' = u0 w(0,s) k(s) + prime_bulk(s) is never evaluated at s = 0:
+    the bulk goes through the forcing's node cache, the u0 part is
+    u0 u0_part(t).  An unsplit singular F' ~ s^(-alpha) is integrated by
+    split graded quadrature at every node: piecewise-linear interpolation
+    of a power has scale-invariant relative error on the early panels,
+    which would freeze the first errors.  Otherwise F' stays on the graded
+    mesh, a callable psi (smooth) is the lag factor of the product
+    integration and a float psi multiplies the sum."""
+    lag_factor = psi if callable(psi) else None
+    scale = psi if isinstance(psi, float) else 1.0
+    r = np.empty(t.size)
+    # r(0+) is a nonzero finite limit when F' blows up at zero; leaving it
+    # non-finite makes the engine start from the constant-extension branch
+    exact_zero = forcing.f0 == 0.0 and not forcing.prime_singular_at_zero
+    r[0] = 0.0 if exact_zero else np.inf
+    oracle = None
+    if forcing.prime_singular_at_zero and not forcing.has_prime_split:
+        kappa = lambda x: x ** (-power) * (lag_factor(x) if lag_factor else scale)
+        conv = split_conv(kappa, forcing.f_prime, t[1:], SPLIT_CONV_LEVELS) / norm
+    else:
+        if forcing.has_prime_split:
+            fp = np.zeros(t.size)
+            fp[1:], oracle = forcing.bulk_on_nodes(t[1:])
+        else:
+            fp = _values(forcing.f_prime, t)
+        conv = power_conv_apply(power, t, fp, lag_factor=lag_factor)[1:] / norm
+        if scale != 1.0:
+            conv *= scale
+        if forcing.has_prime_split and forcing.u0 != 0.0:
+            conv += forcing.u0 * u0_part(t[1:])
+    r[1:] = f0_term + conv
+    return r, oracle
 
 
 # ------------------------------------------------------------- transforms
@@ -403,15 +409,12 @@ def transform_first_kind_weighted(problem: FirstKindProblem, data: SonineData,
     require_wsc1(data)
     pair, weight, forcing = problem.pair, problem.weight, problem.forcing
 
-    conv, oracle = _K_conv_fprime(data, forcing, mesh)
     t = mesh.points
-    r = np.empty(mesh.n + 1)
-    # r(0+) is a nonzero finite limit when f' blows up at zero; leaving it
-    # non-finite makes the engine start from the constant-extension branch
-    exact_zero = forcing.f0 == 0.0 and not forcing.prime_singular_at_zero
-    r[0] = 0.0 if exact_zero else np.inf
-    r[1:] = forcing.f0 * pair.K(t[1:]) + conv[1:]
-
+    # sonine.eval_g is looked up on the module, like g2table's eval_g2, so
+    # that a wrapper installed on it sees this call
+    r, oracle = _first_kind_rhs(forcing, t, 1.0 - pair.alpha0, None, pair.assoc_norm,
+                                forcing.f0 * pair.K(t[1:]),
+                                lambda x: sonine.eval_g(data, 0.0, x))
     m, g2 = _memory(data, mesh)
     return SecondKindProblem(weight(t, t), m, r, g2, oracle)
 
@@ -443,36 +446,20 @@ def transform_first_kind_K(problem: FirstKindProblem, data: SonineData,
     = d/dt int w(0,s)k(s)f(t-s) ds."""
     if problem.variant != "K-kernel":
         raise ValidationError("expected the K-kernel variant")
-    require_wsc1(data)
     pair, weight, forcing = problem.pair, problem.weight, problem.forcing
+    if forcing.has_prime_split:
+        raise ValidationError(
+            "a forcing split as u0 w(0,s) k(s) + prime_bulk is the weighted-k "
+            "equation's manufactured forcing, not one of the K-kernel equation")
+    require_wsc1(data)
     t = mesh.points
-
-    # psi(s) = w(0,s) * smooth part of k, so the integrand is s^(-a0) psi f'
-    psi_fn = lambda s: np.asarray(weight(np.zeros_like(np.asarray(s, float)), s)) \
-        * np.asarray(pair.k_smooth_part(s))
-    r = np.empty(mesh.n + 1)
-    exact_zero = forcing.f0 == 0.0 and not forcing.prime_singular_at_zero
-    r[0] = 0.0 if exact_zero else np.inf
-    if forcing.prime_singular_at_zero:
-        # s^(-a0) psi(s) at the left end, f'(t_i - s) blowing up at the
-        # right end: split graded quadrature, lag variable on the right
-        r[1:] = split_conv(lambda s: s ** (-pair.alpha0) * psi_fn(s),
-                           forcing.f_prime, t[1:], SPLIT_CONV_LEVELS)
-    else:
-        # s -> t_i - s puts the power at the right end and f' on the graded
-        # mesh itself, where any weak singularity of f' at zero is resolved;
-        # psi is smooth, so evaluating it at the lags costs no accuracy,
-        # and a constant psi comes out of the sum
-        fp = _values(forcing.f_prime, t)
-        c = _constant_psi(pair, weight)
-        if c is None:
-            r[1:] = power_conv_apply(pair.alpha0, t, fp, lag_factor=psi_fn)[1:]
-        else:
-            r[1:] = power_conv_apply(pair.alpha0, t, fp)[1:]
-            if c != 1.0:
-                r[1:] *= c
-    r[1:] += forcing.f0 * weight(0.0, t[1:]) * pair.k(t[1:])
-
+    # psi(s) = w(0,s) * smooth part of k, so kappa(x) = x^(-a0) psi(x)
+    psi = _constant_psi(pair, weight)
+    if psi is None:
+        psi = lambda s: np.asarray(weight(np.zeros_like(np.asarray(s, float)), s)) \
+            * np.asarray(pair.k_smooth_part(s))
+    r, _ = _first_kind_rhs(forcing, t, pair.alpha0, psi, 1.0,
+                           forcing.f0 * weight(0.0, t[1:]) * pair.k(t[1:]))
     m, g2 = _memory(data, mesh, 0.0)
     return SecondKindProblem(float(weight(0.0, 0.0)), m, r, g2)
 
@@ -536,24 +523,25 @@ def residual_first_kind(problem: FirstKindProblem, mesh: Mesh, u: np.ndarray,
                         checkpoints) -> tuple:
     """Residual of the original first-kind equation at mesh-node checkpoints,
     using the pure-power split of k (or K) and the piecewise-linear u."""
-    pair, weight, forcing = problem.pair, problem.weight, problem.forcing
-    pts, res = [], []
-    for c in checkpoints:
-        tc = snap_to_mesh(mesh, c)
-        i = node_index(mesh, tc)
-        if i == 0:
-            continue
+    pair, weight = problem.pair, problem.weight
+    pts = mesh.points
+    # each checkpoint's nearest node, t = 0 dropped
+    nodes = np.argmin(np.abs(pts - np.asarray(checkpoints, float)[:, None]), axis=1)
+    nodes = nodes[nodes > 0]
+    f = _values(problem.forcing.f, pts[nodes])
+    res = np.empty(nodes.size)
+    for j, i in enumerate(nodes):
+        tc = pts[i]
         if problem.variant == "weighted-k":
             w = power_conv_weights(pair.alpha0, mesh, i)
-            sgrid = mesh.points[: i + 1]
+            sgrid = pts[: i + 1]
             phi = (np.asarray(weight(sgrid, tc))
                    * np.asarray(pair.k_smooth_part(tc - sgrid)) * u[: i + 1])
             val = float(np.dot(w, phi))
         else:
             val = conv_with_K(pair, mesh, u, tc)
-        pts.append(tc)
-        res.append(val - float(forcing.f(tc)))
-    return np.asarray(pts), np.asarray(res)
+        res[j] = val - float(f[j])
+    return pts[nodes], res
 
 
 @dataclass

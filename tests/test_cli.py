@@ -263,8 +263,8 @@ class TestSolve:
         assert summary["status"] == "numerical-failure"
 
     def test_manufactured_vie1k_zero_start_exits_4(self, tmp_path, capsys):
-        # u = t: the K-kernel right-hand side asks for the manufactured f'
-        # at t = 0, where it is singular
+        # u = t: the manufactured forcing is the weighted-k equation's, so
+        # vie1k refuses it as a configuration error before any build
         cfg = """
 [kernel]
 alpha = "0.5"
@@ -282,8 +282,8 @@ r = 4
 """
         code, _ = run_cli(tmp_path, cfg, "solve", "--kind", "vie1k")
         summary, _ = last_json(capsys)
-        assert code == 4
-        assert summary["status"] == "numerical-failure"
+        assert code == 2
+        assert summary["status"] == "config-error"
 
     def test_manufactured_vie1_zero_start(self, tmp_path, capsys):
         # u = t has u(0) = 0, so the manufactured f' has no singular part
@@ -311,14 +311,16 @@ r = 4
         ("ode", ODE_SQRT.replace('f = "0.88622692545275801"   # Gamma(3/2); '
                                  'exact solution sqrt(t)', "manufactured = true")),
         ("pde", PDE_MANUFACTURED.replace("exact =", "manufactured = true\nexact =")),
-    ], ids=["ode", "pde"])
+        ("vie1k", VIE1K_CONST.replace('f = "0.42441318157838759*t^1.5"',
+                                      "manufactured = true")),
+    ], ids=["ode", "pde", "vie1k"])
     def test_manufactured_rejected_outside_first_kind(self, tmp_path, capsys,
                                                       kind, cfg):
         code, _ = run_cli(tmp_path, cfg, "solve", "--kind", kind)
         summary, _ = last_json(capsys)
         assert code == 2
         assert summary["status"] == "config-error"
-        assert "vie1 or vie1k" in summary["error"]
+        assert "--kind vie1 only" in summary["error"]
 
     def test_vie1k_constant_exponent_skips_memory(self, tmp_path, capsys):
         # w_t(0, t) = 0 and alpha is constant: g2(0, .) = 0, no memory term

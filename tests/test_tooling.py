@@ -114,6 +114,10 @@ def test_tracer_installs_runs_and_uninstalls():
     assert np.count_nonzero(pde_g2 & (spans["rung"][g2] == 1)) == 2
     banded = spans["name_id"] == tracer.names.index("subdiffusion.banded")
     assert np.count_nonzero(banded & (spans["rung"] == 1)) == 40
+    # one right-hand-side span per first-kind solve, of either variant: the
+    # K-kernel solve in rung 0, two weighted-k solves in rung 1, one in rung 2
+    rhs = spans["name_id"] == tracer.names.index("vie.rhs")
+    assert [np.count_nonzero(rhs & (spans["rung"] == k)) for k in range(3)] == [1, 2, 1]
     gate = spans["name_id"] == tracer.names.index("sonine.wsc1_report")
     assert np.count_nonzero(gate & (spans["rung"] == 1)) > 0
     assert np.count_nonzero(gate & (spans["rung"] == 2)) == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsonine import g2table, vie
+from wsonine import g2table, sonine, vie
 from wsonine.errors import DomainError, NumericalError, ValidationError
 from wsonine.expr import as_function, diff_expr, parse_expr
 from wsonine.kernels import KernelPair, Weight
@@ -699,6 +700,158 @@ class TestRightHandSides:
                                             self.MESH).r
         np.testing.assert_allclose(got[1:], weighted_rhs_reference(prob, self.MESH),
                                    rtol=1e-14, atol=0.0)
+
+
+def old_constant_forcing(value):
+    """Forcing.constant as it was written by hand, kept as a reference."""
+    return Forcing(lambda t: np.full_like(np.asarray(t, float), value) if np.ndim(t) else value,
+                   lambda t: np.zeros_like(np.asarray(t, float)) if np.ndim(t) else 0.0,
+                   float(value))
+
+
+def two_assemblies_rhs(problem, data, mesh):
+    """r of the two first-kind transforms as each assembled it on its own,
+    kept as a reference for the one builder both call now."""
+    pair, weight, forcing = problem.pair, problem.weight, problem.forcing
+    t = mesh.points
+    r = np.empty(mesh.n + 1)
+    exact_zero = forcing.f0 == 0.0 and not forcing.prime_singular_at_zero
+    r[0] = 0.0 if exact_zero else np.inf
+    if problem.variant == "weighted-k":
+        beta = 1.0 - pair.alpha0
+        if forcing.has_prime_split:
+            fb = np.zeros(mesh.n + 1)
+            fb[1:], _ = forcing.bulk_on_nodes(t[1:])
+            conv = vie.power_conv_apply(beta, t, fb) / pair.assoc_norm
+            if forcing.u0 != 0.0:
+                conv[1:] += forcing.u0 * sonine.eval_g(data, 0.0, t[1:])
+        elif not forcing.prime_singular_at_zero:
+            fp = np.broadcast_to(np.asarray(forcing.f_prime(t), float), t.shape)
+            conv = vie.power_conv_apply(beta, t, fp) / pair.assoc_norm
+        else:
+            conv = np.zeros(mesh.n + 1)
+            conv[1:] = split_conv(forcing.f_prime, lambda x: x ** (-beta), t[1:],
+                                  vie.SPLIT_CONV_LEVELS) / pair.assoc_norm
+        r[1:] = forcing.f0 * pair.K(t[1:]) + conv[1:]
+        return r
+    psi = lambda s: (np.asarray(weight(np.zeros_like(np.asarray(s, float)), s))
+                     * np.asarray(pair.k_smooth_part(s)))
+    if forcing.prime_singular_at_zero:
+        r[1:] = split_conv(lambda s: s ** (-pair.alpha0) * psi(s), forcing.f_prime,
+                           t[1:], vie.SPLIT_CONV_LEVELS)
+    else:
+        fp = np.broadcast_to(np.asarray(forcing.f_prime(t), float), t.shape)
+        c = vie._constant_psi(pair, weight)
+        if c is None:
+            r[1:] = vie.power_conv_apply(pair.alpha0, t, fp, lag_factor=psi)[1:]
+        else:
+            r[1:] = vie.power_conv_apply(pair.alpha0, t, fp)[1:]
+            if c != 1.0:
+                r[1:] *= c
+    r[1:] += forcing.f0 * weight(0.0, t[1:]) * pair.k(t[1:])
+    return r
+
+
+@functools.lru_cache(maxsize=None)
+def grid_data(alpha, normalized, weight):
+    """SonineData and the manufactured forcings of u = 1 + t and u = t, made
+    once per (kernel, weight) and shared by both variants."""
+    pair = KernelPair.make(alpha, normalized=normalized)
+    w = Weight.from_expr(weight)
+    return (SonineData.make(pair, w),
+            [manufactured_forcing(pair, w, u) for u in ("1 + t", "t")])
+
+
+class TestOneRhsBuilder:
+    """Both transforms go through vie._first_kind_rhs; their r, and the u
+    solve_first_kind returns, equal the two assemblies they replaced bit
+    for bit.  N = 70 spans three blocks of quadrature.ROW_BLOCK rows."""
+
+    @pytest.mark.parametrize("weight", ["1", "1 + s*t", "2 + s*t", "exp(-(t-s))"])
+    @pytest.mark.parametrize("alpha, normalized", [
+        ("0.5", False), ("0.5 + 0.1*t", False), ("0.3 + 0.4*t^2", True),
+        ("0.45", True)], ids=["const", "variable", "variable-normalized",
+                              "const-normalized"])
+    @pytest.mark.parametrize("variant", ["weighted-k", "K-kernel"])
+    def test_r_and_u_equal_two_assemblies(self, variant, alpha, normalized, weight):
+        data, manufactured = grid_data(alpha, normalized, weight)
+        transform = (transform_first_kind_weighted if variant == "weighted-k"
+                     else transform_first_kind_K)
+        cases = [(fc, fc) for fc in manufactured] + [
+            (Forcing.from_expr("t + t^1.5"),) * 2, (Forcing.from_expr("1 + t^2"),) * 2,
+            (SQRT_FORCING,) * 2, (Forcing.constant(1.0), old_constant_forcing(1.0))]
+        for n in (24, 70):
+            mesh = Mesh(1.0, n, 4.0)
+            for forcing, old in cases:
+                prob = FirstKindProblem(data.pair, data.weight, forcing, variant)
+                if variant == "K-kernel" and forcing.has_prime_split:
+                    with pytest.raises(ValidationError):
+                        transform(prob, data, mesh)
+                    continue
+                second = transform(prob, data, mesh)
+                want = two_assemblies_rhs(dataclasses.replace(prob, forcing=old),
+                                          data, mesh)
+                np.testing.assert_array_equal(second.r, want)
+                np.testing.assert_array_equal(
+                    solve_first_kind(prob, mesh, data).u,
+                    solve_second_kind(dataclasses.replace(second, r=want), mesh).u)
+
+    def test_k_kernel_rejects_manufactured_forcing(self, const_pair, bilinear,
+                                                   const_data):
+        # the manufactured forcing is the weighted-k equation's; the K-kernel
+        # right-hand side would solve another equation with it
+        for u in ("1 + t", "t"):
+            prob = FirstKindProblem(const_pair, bilinear,
+                                    manufactured_forcing(const_pair, bilinear, u),
+                                    variant="K-kernel")
+            with pytest.raises(ValidationError, match="weighted-k"):
+                solve_first_kind(prob, Mesh(1.0, 8, 4.0), const_data)
+
+
+def per_checkpoint_residuals(problem, mesh, u, checkpoints):
+    """residual_first_kind as it was, kept as a reference: a snap, a node
+    lookup and a forcing call for each checkpoint."""
+    pair, weight, forcing = problem.pair, problem.weight, problem.forcing
+    pts, res = [], []
+    for c in checkpoints:
+        tc = snap_to_mesh(mesh, c)
+        i = node_index(mesh, tc)
+        if i == 0:
+            continue
+        if problem.variant == "weighted-k":
+            w = vie.power_conv_weights(pair.alpha0, mesh, i)
+            sgrid = mesh.points[: i + 1]
+            phi = (np.asarray(weight(sgrid, tc))
+                   * np.asarray(pair.k_smooth_part(tc - sgrid)) * u[: i + 1])
+            val = float(np.dot(w, phi))
+        else:
+            val = vie.conv_with_K(pair, mesh, u, tc)
+        pts.append(tc)
+        res.append(val - float(forcing.f(tc)))
+    return np.asarray(pts), np.asarray(res)
+
+
+class TestResidualFirstKind:
+    @pytest.mark.parametrize("variant", ["weighted-k", "K-kernel"])
+    def test_one_forcing_call_equals_per_checkpoint(self, bilinear, variant):
+        pair = KernelPair.make("0.5 + 0.1*t")
+        forcing = (manufactured_forcing(pair, bilinear, "1 + t")
+                   if variant == "weighted-k" else Forcing.from_expr("t + t^1.5"))
+        prob = FirstKindProblem(pair, bilinear, forcing, variant)
+        mesh = Mesh(1.0, 40, 4.0)
+        u = solve_first_kind(prob, mesh).u
+        # t = 0 is dropped; 0.3 is not a node
+        checkpoints = [0.0, 0.25, 0.3, 0.5, 1.0]
+        want = per_checkpoint_residuals(prob, mesh, u, checkpoints)
+        calls = []
+        f = forcing.f
+        counted = dataclasses.replace(
+            forcing, f=lambda t: calls.append(np.shape(t)) or f(t))
+        pts, res = residual_first_kind(dataclasses.replace(prob, forcing=counted),
+                                       mesh, u, checkpoints)
+        assert calls == [(4,)]
+        np.testing.assert_array_equal(pts, want[0])
+        np.testing.assert_array_equal(res, want[1])
 
 
 def old_ode_route(problem, mesh, data):
