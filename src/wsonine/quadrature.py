@@ -8,10 +8,10 @@ Four tools, all serving integrals whose singular factor is known a priori:
 * closed-form product-integration weights for convolving a piecewise-linear
   interpolant with a pure power (t_i - s)^(-beta), built in blocks of rows;
 * composite Gauss-Legendre on geometrically graded panels for integrands
-  with a log or power (< 1) singularity at one end: one interval at a time
-  with an open innermost panel, or batched over the upper ends of [0, e]
-  with the innermost sliver taken against its measured power (graded_rows),
-  two of which make a split convolution of two singularities (split_conv);
+  with a log or power (< 1) singularity at one end, batched over the upper
+  ends of [0, e] with the innermost sliver taken against its measured power
+  (graded_rows); one interval is one row of it (graded_panel_quad), and two
+  calls make a split convolution of two singularities (split_conv);
 * the steppers' memory quadrature: hat-function weights per panel, built
   in blocks of rows with one kernel call per block, 2-point Gauss on the
   interior panels and, on the newest panel, Gauss-Legendre in v after the
@@ -219,35 +219,6 @@ def _leggauss(n):
     return x, w
 
 
-def graded_nodes(a: float, b: float, singular_end: str = "left",
-                 levels: int = DEFAULT_PANEL_LEVELS,
-                 nodes_per_panel: int = DEFAULT_PANEL_NODES):
-    """Points/weights of the composite graded Gauss-Legendre rule used by
-    graded_panel_quad, for callers that integrate several integrands at once."""
-    if not a < b:
-        raise ValidationError(f"empty interval [{a}, {b}]")
-    if singular_end not in ("left", "right"):
-        raise ValidationError("singular_end must be 'left' or 'right'")
-    x, w = _leggauss(nodes_per_panel)
-    width = b - a
-    sp = abs(a) if singular_end == "left" else abs(b)
-    if sp > 0.0:
-        eps = np.finfo(float).eps
-        cap = int(np.floor(np.log2(width / (500.0 * eps * sp))))
-        levels = max(1, min(levels, cap))
-    offs = width * 0.5 ** np.arange(levels + 1)
-    edges = np.concatenate((offs, [0.0]))
-    if singular_end == "left":
-        lo, hi = a + edges[1:], a + edges[:-1]
-    else:
-        lo, hi = b - edges[:-1], b - edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
-    return pts, wts
-
-
 def lag_rule(tau):
     """Nodes and weights for int_0^tau f(x) dx, f singular like ln x or a
     power x^(-beta) at x = 0: Gauss-Legendre in v on (0, 1) after
@@ -269,10 +240,14 @@ def _lag_unit_rule():
 
 
 @lru_cache(maxsize=8)
-def _unit_rule(levels: int, nodes_per_panel: int):
-    """graded_nodes(0, 1, "left"): every rule on [0, e] with its singular
-    end at 0 is e times this one."""
-    return graded_nodes(0.0, 1.0, "left", levels, nodes_per_panel)
+def _unit_rule(levels: int):
+    """Gauss-Legendre nodes and weights on the panels [2^-(k+1), 2^-k],
+    k < levels: every rule of graded_rows on [0, e] is e times this one."""
+    x, w = _leggauss(DEFAULT_PANEL_NODES)
+    hi = 0.5 ** np.arange(levels)
+    half, mid = 0.25 * hi, 0.75 * hi     # exact: hi is a power of two
+    return ((mid[:, None] + half[:, None] * x[None, :]).ravel(),
+            (half[:, None] * w[None, :]).ravel())
 
 
 def graded_rows(fn, ends, levels: int) -> np.ndarray:
@@ -293,10 +268,9 @@ def graded_rows(fn, ends, levels: int) -> np.ndarray:
     ends = np.asarray(ends, dtype=float).ravel()
     if not np.all(ends > 0.0):
         raise ValidationError("graded_rows needs upper ends e > 0")
-    x, w = _unit_rule(levels, DEFAULT_PANEL_NODES)
+    x, w = _unit_rule(levels)
     eps = 0.5 ** levels
-    x = np.concatenate((x[:-DEFAULT_PANEL_NODES], [eps, eps * 0.5 ** SLIVER_SPREAD]))
-    w = w[:-DEFAULT_PANEL_NODES]
+    x = np.concatenate((x, [eps, eps * 0.5 ** SLIVER_SPREAD]))
     rows = max(1, GRADED_ROWS_POINTS // x.size)
     out = np.empty(ends.size)
     for a in range(0, ends.size, rows):
@@ -307,7 +281,9 @@ def graded_rows(fn, ends, levels: int) -> np.ndarray:
             bad = z[~np.isfinite(vals)][0]
             raise NumericalError(f"non-finite integrand value at {bad!r}")
         near, far = vals[:, -2], vals[:, -1]
-        ratio = np.divide(far, near, out=np.ones_like(near), where=near * far > 0.0)
+        # signs, not near * far, which under- or overflows at extreme scales
+        ratio = np.divide(far, near, out=np.ones_like(near),
+                          where=np.sign(near) * np.sign(far) > 0.0)
         beta = np.log2(ratio) / SLIVER_SPREAD
         if np.any(beta >= 1.0):
             raise NumericalError(f"integrand ~ z^(-{beta.max():.3g}) is not integrable at 0")
@@ -403,20 +379,22 @@ def _rowdot(p, q):
 
 
 def graded_panel_quad(fn, a: float, b: float, singular_end: str = "left",
-                      levels: int = DEFAULT_PANEL_LEVELS,
-                      nodes_per_panel: int = DEFAULT_PANEL_NODES) -> float:
-    """Composite Gauss-Legendre over panels graded (ratio 1/2) toward the
-    singular end; the innermost sliver uses the same open rule, so the
-    integrand is never evaluated at the endpoint itself.
-
-    fn must accept a numpy array of points and return finite values at all
-    interior nodes.
+                      levels: int = DEFAULT_PANEL_LEVELS) -> float:
+    """int_a^b fn(x) dx for fn with a log or power (< 1) singularity at the
+    singular end: graded_rows on [0, b - a] in the distance z from that end.
+    A nonzero singular end caps levels so that its far sliver point stays
+    distinct from it in floating point; a log singularity there is then
+    integrated only to ~1e-6 (int_2^3 ln(x - 2) dx).  fn gets an array of
+    points and must be finite on them.
     """
-    pts, wts = graded_nodes(a, b, singular_end, levels, nodes_per_panel)
-    vals = np.asarray(fn(pts), dtype=float)
-    if vals.shape != pts.shape:
-        vals = np.broadcast_to(vals, pts.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = pts[~np.isfinite(vals)][0]
-        raise NumericalError(f"non-finite integrand value at {bad!r}")
-    return float(np.dot(wts, vals))
+    if not a < b:
+        raise ValidationError(f"empty interval [{a}, {b}]")
+    if singular_end not in ("left", "right"):
+        raise ValidationError("singular_end must be 'left' or 'right'")
+    left = singular_end == "left"
+    sp = abs(a) if left else abs(b)
+    if sp > 0.0:
+        cap = int(np.floor(np.log2((b - a) / (500.0 * np.finfo(float).eps * sp))))
+        levels = max(1, min(levels, cap - SLIVER_SPREAD))
+    return float(graded_rows(lambda z, e: fn(a + z) if left else fn(b - z),
+                             [b - a], levels)[0])

@@ -211,6 +211,14 @@ class TestVerify:
         assert any("(i)" in f for f in summary["failures"])
         assert summary["checks"]["wsc1"] == "fail"
 
+    def test_nonintegrable_g2_fails_condition_b(self, tmp_path, capsys):
+        # w_t = 0.1 / (t - s): g2(0, t) = 0.1 / t
+        cfg = VERIFY_GOOD.replace('"1 + s*t"', '"2 + 0.1*ln(t - s + 1e-300)"')
+        code, _ = run_cli(tmp_path, cfg, "verify")
+        summary, _ = last_json(capsys)
+        assert code == 3
+        assert "(b)" in summary["failures"]
+
     def test_associate_off_by_a_factor_fails_csc(self, tmp_path, capsys,
                                                  monkeypatch):
         # int_0^t K(t-s) k(s) ds = 1.001 with this K: the CSC check must see

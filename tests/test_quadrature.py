@@ -10,8 +10,8 @@ from wsonine.errors import NumericalError, ValidationError
 from wsonine.kernels import KernelPair, Weight
 from wsonine.quadrature import (DEFAULT_PANEL_NODES, GRADED_ROWS_POINTS,
                                 MEMORY_PANEL_NODES, ROW_BLOCK, SLIVER_SPREAD,
-                                Mesh, default_grading, graded_nodes,
-                                graded_panel_quad, graded_rows, jacobi_rule,
+                                Mesh, default_grading, graded_panel_quad,
+                                graded_rows, jacobi_rule,
                                 lag_rule, memory_panel_weights,
                                 power_conv_apply, power_conv_rows,
                                 power_conv_weights, split_conv)
@@ -441,6 +441,13 @@ class TestGradedPanelQuad:
         with pytest.raises(ValidationError):
             graded_panel_quad(np.sin, 1.0, 1.0, "left")
 
+    @pytest.mark.parametrize("e", [1e-6, 0.3, 1.0, 7.0])
+    @pytest.mark.parametrize("levels", [40, 60])
+    def test_is_one_row_of_graded_rows(self, e, levels):
+        fn = lambda z: z ** -0.5 * np.exp(-z) + np.log(z)
+        got = graded_panel_quad(fn, 0.0, e, "left", levels=levels)
+        assert got == graded_rows(lambda z, e: fn(z), [e], levels)[0]
+
 
 # integrands of (z, e) for graded_rows: one of full shape (B, P) with a
 # z^(-1/2) singularity, one of shape (B, 1) that depends on e alone
@@ -451,17 +458,24 @@ ROW_INTEGRANDS = {
 
 
 def sliver_quad(fn, e, levels):
-    """int_0^e fn(z) dz one interval at a time: graded_nodes without its
-    innermost panel [0, eps], and fn(eps) eps / (1 - beta) on it, with
+    """int_0^e fn(z) dz one interval at a time: DEFAULT_PANEL_NODES-point
+    Gauss-Legendre on each panel [e 2^-(k+1), e 2^-k], k < levels, and
+    fn(eps) eps / (1 - beta) on the sliver [0, eps], eps = e 2^-levels, with
     fn(eps 2^-SLIVER_SPREAD) / fn(eps) = 2^(SLIVER_SPREAD beta)."""
-    pts, wts = graded_nodes(0.0, e, "left", levels)
-    keep = slice(None, -DEFAULT_PANEL_NODES)
+    x, w = np.polynomial.legendre.leggauss(DEFAULT_PANEL_NODES)
+    pts, wts = [], []
+    for k in range(levels):
+        lo, hi = e * 0.5 ** (k + 1), e * 0.5 ** k
+        pts.append(0.5 * (hi + lo) + 0.5 * (hi - lo) * x)
+        wts.append(0.5 * (hi - lo) * w)
+    pts, wts = np.concatenate(pts), np.concatenate(wts)
     eps = e * 0.5 ** levels
     near = float(np.ravel(fn(np.array([eps])))[0])
     far = float(np.ravel(fn(np.array([eps * 0.5 ** SLIVER_SPREAD])))[0])
-    beta = math.log2(far / near) / SLIVER_SPREAD if near * far > 0.0 else 0.0
-    vals = np.broadcast_to(fn(pts[keep]), pts[keep].shape)
-    return float(np.dot(wts[keep], vals)) + near * eps / (1.0 - beta)
+    same_sign = near != 0.0 and far != 0.0 and (near > 0.0) == (far > 0.0)
+    beta = math.log2(far / near) / SLIVER_SPREAD if same_sign else 0.0
+    vals = np.broadcast_to(fn(pts), pts.shape)
+    return float(np.dot(wts, vals)) + near * eps / (1.0 - beta)
 
 
 class TestGradedRows:
@@ -503,6 +517,14 @@ class TestGradedRows:
         got = graded_rows(lambda z, e: z ** -beta, [1.0, 3.0], 60)
         np.testing.assert_allclose(got, np.array([1.0, 3.0]) ** (1 - beta) / (1 - beta),
                                    rtol=1e-13)
+
+    @pytest.mark.parametrize("scale", [1e-250, 1e-200, 1e-100, 1.0, 1e100,
+                                       1e200, 1e250])
+    def test_sliver_power_does_not_depend_on_scale(self, scale):
+        # fn(eps) fn(eps 2^-SLIVER_SPREAD) under- or overflows at these
+        # scales; the measured power must not
+        got = graded_rows(lambda z, e: scale * z ** -0.99, [1.0], 60)
+        assert got[0] == pytest.approx(scale / 0.01, rel=1e-13, abs=0.0)
 
     def test_sliver_sign_change_takes_no_power(self):
         # fn(eps) > 0 > fn(eps 2^-SLIVER_SPREAD): beta = 0, the sliver is fn(eps) eps

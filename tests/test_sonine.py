@@ -23,6 +23,10 @@ from wsonine.sonine import (G2_CHUNK, SMALL_LAG, G_reference, SONINE_JACOBI_N,
 VARIABLE_EXPONENTS = ["0.5 + 0.1*t", "0.5 + 0.2*sin(t)", "0.3 + 0.4*t",
                       "0.9 - 0.5*t", "0.95 - 0.9*t", "0.05 + 0.9*t"]
 
+# w_t = 0.1 / (t - s): g2(0, t) = 0.1 / t and G2(0, t) ~ 1 / t are not
+# integrable at t = 0, condition (b)
+LOG_WEIGHT = "2 + 0.1*ln(t - s + 1e-300)"
+
 
 @pytest.fixture(scope="module")
 def const_pair():
@@ -545,6 +549,19 @@ class TestReports:
         alpha(0) near 0 and near 1."""
         rep = wsc1_report(SonineData.make(KernelPair.make(alpha, b=1.0), bilinear))
         assert rep.passed, rep.summary()
+
+    @pytest.mark.parametrize("alpha", ["0.5", "0.5 + 0.1*t"])
+    def test_wsc1_names_condition_b_for_nonintegrable_g2(self, alpha):
+        rep = wsc1_report(SonineData.make(KernelPair.make(alpha, b=1.0),
+                                          Weight.from_expr(LOG_WEIGHT, b=1.0)))
+        assert not rep.passed
+        assert "(b)" in rep.failures
+
+    def test_wsc2_names_condition_b_for_nonintegrable_g2(self, const_pair):
+        rep = wsc2_report(SonineData.make(const_pair,
+                                          Weight.from_expr(LOG_WEIGHT, b=1.0)))
+        assert not rep.passed
+        assert "(b)" in rep.failures
 
     def test_wsc2_passes(self, const_data):
         rep = wsc2_report(const_data)
