@@ -5,8 +5,9 @@ Four tools, all serving integrals whose singular factor is known a priori:
 * Gauss-Jacobi rules for integrals against (1-z)^(a0-1) z^(-a0) on (0,1),
   built by Golub-Welsch from the three-term recurrence, optionally after
   the substitution z = v^p;
-* closed-form product-integration weights for convolving a piecewise-linear
-  interpolant with a pure power (t_i - s)^(-beta), built in blocks of rows;
+* closed-form product integration of a piecewise-linear interpolant
+  against a pure power (t_i - s)^(-beta), from panel moments built in
+  blocks of rows: as weights, or contracted with the data (no weights);
 * composite Gauss-Legendre on geometrically graded panels for integrands
   with a log or power (< 1) singularity at one end, batched over the upper
   ends of [0, e] with the innermost sliver taken against its measured power
@@ -157,24 +158,51 @@ def default_grading(alpha0: float) -> float:
 
 # --------------------------------------------- product-integration weights
 
-def power_conv_rows(beta: float, t: np.ndarray, a: int, b: int,
-                    derivative: bool = False) -> np.ndarray:
-    """Rows a..b-1, as a (b-a, b) block, of the lower-triangular W with
-    sum_j W_ij phi(t_j) = int_0^{t_i} (t_i - s)^(-beta) phihat(s) ds exactly
-    for the piecewise-linear interpolant phihat of phi on the nodes t.
-    derivative=True gives the L1 rows of d/dt of that integral at t_i:
-    t_i^(-beta) phi_0 + sum_j m0_ij (phi_{j+1} - phi_j) / tau_j.  The lags
-    are clipped, max(t_i - t_j, 0), so row 0 and the entries j > i are 0."""
+def _panel_moments(beta: float, t: np.ndarray, a: int, b: int, linear: bool = True,
+                   work=None):
+    """The clipped lags max(t_i - t_j, 0) of rows a..b-1 against t[:b], as a
+    (b-a, b) block, and the moments of (t_i - s)^(-beta) on each panel
+    [t_j, t_{j+1}], as (b-a, b-1) blocks: m0_ij = int (t_i - s)^(-beta) ds
+    and, when linear, m1_ij = int s (t_i - s)^(-beta) ds (else None).
+    With work, a (5, ROW_BLOCK len(t)) array, the blocks are contiguous
+    views of it, so a caller looping over blocks touches no fresh memory."""
     if not 0.0 < beta < 1.0:
         raise ValidationError(f"beta must lie in (0,1), got {beta}")
     if not 0 <= a < b <= len(t):
         raise ValidationError(f"row block [{a}, {b}) outside 0..{len(t)}")
+
+    def buf(k, cols):
+        return None if work is None else work[k, : (b - a) * cols].reshape(b - a, cols)
+
     ti = t[a:b, None]
+    # panel j runs from lag[:, j+1] to lag[:, j] in u = t_i - s; only the
+    # lags of nodes j > a can be negative
+    lag = np.subtract(ti, t[None, :b], out=buf(0, b))
+    np.maximum(lag[:, a:], 0.0, out=lag[:, a:])
+    p = np.power(lag, 1.0 - beta, out=buf(1, b))
+    m0 = np.subtract(p[:, :-1], p[:, 1:], out=buf(2, b - 1))
+    m0 /= 1.0 - beta
+    if not linear:
+        return lag, m0, None
+    np.power(lag, 2.0 - beta, out=p)
+    p2 = np.subtract(p[:, :-1], p[:, 1:], out=buf(3, b - 1))
+    p2 /= 2.0 - beta
+    m1 = np.multiply(ti, m0, out=buf(4, b - 1))
+    m1 -= p2
+    return lag, m0, m1
+
+
+def power_conv_rows(beta: float, t: np.ndarray, a: int, b: int,
+                    derivative: bool = False) -> np.ndarray:
+    """Rows a..b-1, as a (b-a, b) block, of the lower-triangular W with
+    sum_j W_ij phi(t_j) = int_0^{t_i} (t_i - s)^(-beta) phihat(s) ds exactly
+    for the piecewise-linear interpolant phihat of phi on the nodes t:
+    the hat weights (t_{j+1} m0 - m1) / h_j and (m1 - t_j m0) / h_j of the
+    panel moments.  derivative=True gives the L1 rows of d/dt of that
+    integral at t_i: t_i^(-beta) phi_0 + sum_j m0_ij (phi_{j+1} - phi_j) / h_j.
+    The lags are clipped, so row 0 and the entries j > i are 0."""
     h = np.diff(t[:b])
-    # panel j runs from lag[:, j+1] to lag[:, j] in u = t_i - s
-    lag = np.maximum(ti - t[None, :b], 0.0)
-    p1 = lag ** (1.0 - beta)
-    m0 = (p1[:, :-1] - p1[:, 1:]) / (1.0 - beta)
+    _, m0, m1 = _panel_moments(beta, t, a, b, linear=not derivative)
     out = np.zeros((b - a, b))
     if derivative:
         # a scalar power per row: the array power may differ in the last bit
@@ -182,8 +210,6 @@ def power_conv_rows(beta: float, t: np.ndarray, a: int, b: int,
         out[:, :-1] -= m0 / h
         out[:, 1:] += m0 / h
         return out
-    p2 = lag ** (2.0 - beta)
-    m1 = ti * m0 - (p2[:, :-1] - p2[:, 1:]) / (2.0 - beta)
     out[:, :-1] += (t[1:b] * m0 - m1) / h
     out[:, 1:] += (m1 - t[: b - 1] * m0) / h
     return out
@@ -191,16 +217,33 @@ def power_conv_rows(beta: float, t: np.ndarray, a: int, b: int,
 
 def power_conv_apply(beta: float, t: np.ndarray, v: np.ndarray,
                      lag_factor=None) -> np.ndarray:
-    """W @ v for the matrix of power_conv_rows, built ROW_BLOCK rows at a
-    time, so no (N+1)^2 matrix is held.  With lag_factor, each block of W is
-    first multiplied elementwise by lag_factor on its clipped lags."""
+    """W @ v for the matrix of power_conv_rows, without forming W.  On panel
+    j the interpolant of v is A_j + B_j s, B_j = (v_{j+1} - v_j) / h_j and
+    A_j = v_j - t_j B_j, so row i is sum_j m0_ij A_j + m1_ij B_j with the
+    panel moments, ROW_BLOCK rows at a time.  With lag_factor, v is
+    lag_factor(max(t_i - t_j, 0)) v_j in row i, so A and B are matrices:
+    the product with W multiplied elementwise by lag_factor on its lags."""
+    v = np.asarray(v, dtype=float)
+    h = np.diff(t)
+
+    def linear_parts(vals):
+        b = vals.shape[-1]
+        slope = np.diff(vals, axis=-1) / h[: b - 1]
+        return vals[..., :-1] - t[: b - 1] * slope, slope
+
+    if lag_factor is None:
+        base, slope = linear_parts(v)
     out = np.empty(len(t))
+    work = np.empty((5, min(ROW_BLOCK, len(t)) * len(t)))
     for a in range(0, len(t), ROW_BLOCK):
         b = min(a + ROW_BLOCK, len(t))
-        w = power_conv_rows(beta, t, a, b)
-        if lag_factor is not None:
-            w *= lag_factor(np.maximum(t[a:b, None] - t[None, :b], 0.0))
-        out[a:b] = w @ v[:b]
+        lag, m0, m1 = _panel_moments(beta, t, a, b, work=work)
+        if lag_factor is None:
+            # one vector for every row, broadcast by _rowdot
+            A, B = base[: b - 1], slope[: b - 1]
+        else:
+            A, B = linear_parts(lag_factor(lag) * v[:b])
+        out[a:b] = _rowdot(m0, A) + _rowdot(m1, B)
     return out
 
 
@@ -374,8 +417,9 @@ def memory_points(n: int) -> int:
 
 
 def _rowdot(p, q):
-    """np.dot of each row of p with the same row of q, with its bits."""
-    return np.matmul(p[:, None, :], q[:, :, None])[:, 0, 0]
+    """np.dot of each row of p with the same row of q, with its bits; a 1-D
+    q is every row's."""
+    return np.matmul(p[:, None, :], q[..., None])[:, 0, 0]
 
 
 def graded_panel_quad(fn, a: float, b: float, singular_end: str = "left",

@@ -221,10 +221,12 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
     """Time-stepping product integration: piecewise-linear solution, memory
     term by quadrature.memory_panel_weights, read ROW_BLOCK rows at a time
     (2-point Gauss on interior panels, lag_rule in the lag variable on the
-    panel touching the singularity of m at y = t), skipped when m is None.
-    m(y, x) gets the exact lags x = t_i - y of the builder;
-    meta["memory_points"] counts the points it was evaluated at, and
-    meta["mesh"] records the mesh's n and r."""
+    panel touching the singularity of m at y = t).  m(y, x) gets the exact
+    lags x = t_i - y of the builder; meta["memory_points"] counts the points
+    it was evaluated at, and meta["mesh"] records the mesh's n and r.
+    Without memory (m None) the equation is d u = r, solved in one vector
+    step that fails where the stepping would first fail: at the first node
+    with |d| < d_min or a non-finite u, the d check first."""
     t = mesh.points
     n = mesh.n
     u = np.zeros(n + 1)
@@ -241,37 +243,52 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
         points += y.size
         return problem.m(y, x)
 
-    for a in range(0, n + 1, ROW_BLOCK):
-        b = min(a + ROW_BLOCK, n + 1)
-        if problem.m is not None:
+    if problem.m is None:
+        _divide_out(u, d, r, t, d_min)
+    else:
+        for a in range(0, n + 1, ROW_BLOCK):
+            b = min(a + ROW_BLOCK, n + 1)
             w0, w1 = memory_panel_weights(memory, t, a, b)
-        for i in range(max(a, 1), b):
-            ti = t[i]
-            di = float(d[i])
-            if abs(di) < d_min:
-                raise NumericalError(f"diagonal coefficient below {d_min} at t = {ti}")
-            ri = float(r[i])
-            if problem.m is None:
-                interior, m0, m1 = 0.0, 0.0, 0.0
-            else:
+            for i in range(max(a, 1), b):
+                ti = t[i]
+                di = float(d[i])
+                if abs(di) < d_min:
+                    raise NumericalError(
+                        f"diagonal coefficient below {d_min} at t = {ti}")
+                ri = float(r[i])
                 c0, c1 = w0[i - a, :i], w1[i - a, :i]
                 # every panel but the newest acts on known values; on the
                 # newest, m0 multiplies u_{i-1} and m1 the unknown u_i
                 interior = float(c0[:-1] @ u[: i - 1] + c1[:-1] @ u[1:i])
                 m0, m1 = c0[-1], c1[-1]
-
-            if i == 1 and u0 is None:
-                # constant extension over the first panel
-                u[1] = (ri - interior) / (di + m0 + m1)
-            else:
-                u[i] = (ri - interior - u[i - 1] * m0) / (di + m1)
-            if not np.isfinite(u[i]):
-                raise NumericalError(f"non-finite solution value at t = {ti}")
+                if i == 1 and u0 is None:
+                    # constant extension over the first panel
+                    u[1] = (ri - interior) / (di + m0 + m1)
+                else:
+                    u[i] = (ri - interior - u[i - 1] * m0) / (di + m1)
+                if not np.isfinite(u[i]):
+                    raise NumericalError(f"non-finite solution value at t = {ti}")
     if u0 is None:
         u[0] = u[1]
     return SolveReport(mesh, t, u, meta={"mesh": {"n": n, "r": mesh.r},
                                          "memory_skipped": problem.m is None,
                                          "memory_points": points})
+
+
+def _divide_out(u, d, r, t, d_min):
+    """u[1:] = r[1:] / d[1:], raising as the stepping would at the first node
+    where |d| < d_min or u is not finite (the d check first at a node); a
+    non-finite u[0] makes u[1] non-finite, as its step multiplies it by 0."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u[1:] = r[1:] / d[1:]
+    small = np.abs(d[1:]) < d_min
+    bad = small | ~np.isfinite(u[1:])
+    bad[0] |= not np.isfinite(u[0])
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if small[i]:
+            raise NumericalError(f"diagonal coefficient below {d_min} at t = {t[i + 1]}")
+        raise NumericalError(f"non-finite solution value at t = {t[i + 1]}")
 
 
 def _on_nodes(name: str, values, n: int) -> np.ndarray:

@@ -270,7 +270,7 @@ class TestSolve:
         assert code == 4
         assert summary["status"] == "numerical-failure"
 
-    def test_manufactured_vie1k_zero_start_exits_4(self, tmp_path, capsys):
+    def test_manufactured_vie1k_exits_2(self, tmp_path, capsys):
         # u = t: the manufactured forcing is the weighted-k equation's, so
         # vie1k refuses it as a configuration error before any build
         cfg = """

@@ -273,6 +273,92 @@ class TestPowerConvMatrix:
                 power_conv_rows(0.5, t, a, b)
 
 
+def frozen_power_conv_rows(beta, t, a, b, derivative=False):
+    """power_conv_rows as it was before it shared its panel moments with
+    power_conv_apply, kept as a reference for its bits."""
+    ti = t[a:b, None]
+    h = np.diff(t[:b])
+    lag = np.maximum(ti - t[None, :b], 0.0)
+    p1 = lag ** (1.0 - beta)
+    m0 = (p1[:, :-1] - p1[:, 1:]) / (1.0 - beta)
+    out = np.zeros((b - a, b))
+    if derivative:
+        out[:, 0] = [math.pow(x, -beta) if x > 0.0 else 0.0 for x in t[a:b]]
+        out[:, :-1] -= m0 / h
+        out[:, 1:] += m0 / h
+        return out
+    p2 = lag ** (2.0 - beta)
+    m1 = ti * m0 - (p2[:, :-1] - p2[:, 1:]) / (2.0 - beta)
+    out[:, :-1] += (t[1:b] * m0 - m1) / h
+    out[:, 1:] += (m1 - t[: b - 1] * m0) / h
+    return out
+
+
+def exact_conv_row(beta, t, i, values):
+    """sum_j int_{t_j}^{t_{j+1}} (t_i - s)^(-beta) vhat(s) ds for the
+    piecewise-linear vhat through the doubles values on t[:i+1], from the
+    closed-form panel moments in 50-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        b = mpmath.mpf(beta)
+        ti = mpmath.mpf(t[i])
+        nodes = [mpmath.mpf(x) for x in t[: i + 1]]
+        vals = [mpmath.mpf(x) for x in values]
+        p1 = [(ti - x) ** (1 - b) for x in nodes]
+        p2 = [(ti - x) ** (2 - b) for x in nodes]
+        total = mpmath.mpf(0)
+        for j in range(i):
+            m0 = (p1[j] - p1[j + 1]) / (1 - b)
+            m1 = ti * m0 - (p2[j] - p2[j + 1]) / (2 - b)
+            slope = (vals[j + 1] - vals[j]) / (nodes[j + 1] - nodes[j])
+            total += m0 * (vals[j] - nodes[j] * slope) + m1 * slope
+        return total
+
+
+class TestPowerConvApply:
+    """power_conv_apply contracts the panel moments with the data; the rows
+    of W keep the bits of the builder they came from."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(beta=st.floats(0.05, 0.95), r=st.floats(1.0, 4.0),
+           n=st.integers(1, 3 * ROW_BLOCK), derivative=st.booleans(),
+           data=st.data())
+    def test_rows_keep_their_bits(self, beta, r, n, derivative, data):
+        # every block of ROW_BLOCK rows, the last one partial, and one drawn
+        t = Mesh(1.0, n, r).points
+        blocks = [(a, min(a + ROW_BLOCK, n + 1)) for a in range(0, n + 1, ROW_BLOCK)]
+        a = data.draw(st.integers(0, n))
+        blocks.append((a, data.draw(st.integers(a + 1, n + 1))))
+        for a, b in blocks:
+            np.testing.assert_array_equal(
+                power_conv_rows(beta, t, a, b, derivative),
+                frozen_power_conv_rows(beta, t, a, b, derivative))
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_as_accurate_as_the_rows(self, n):
+        # against 50-digit moments, the contraction is no worse than W @ v,
+        # on the rows nearest t = 1/4 and t = 1; on t^(-1/2) both carry the
+        # cancellation of ROADMAP item 2
+        beta = 0.5
+        t = Mesh(1.0, n, 4.0).points
+        rsqrt = np.empty(n + 1)
+        rsqrt[1:] = t[1:] ** -0.5
+        rsqrt[0] = rsqrt[1]
+        psi = lambda lag: 1.0 + lag * np.exp(-lag)
+        w = power_conv_rows(beta, t, 0, n + 1)
+        for v, factor in [(rsqrt, None), (np.sqrt(t), None), (1.0 + t, None),
+                          (1.0 + t, psi)]:
+            got = power_conv_apply(beta, t, v, lag_factor=factor)
+            for i in (int(np.argmin(np.abs(t - 0.25))), n):
+                vals = v[: i + 1]
+                if factor is not None:
+                    vals = factor(t[i] - t[: i + 1]) * vals
+                exact = exact_conv_row(beta, t, i, vals)
+                rows_error = abs(float(np.dot(w[i, : i + 1], vals) - exact))
+                apply_error = abs(float(got[i] - exact))
+                assert apply_error <= 1.05 * rows_error + 1e-15, (i, factor)
+
+
 def lag_closed_forms(tau):
     """(integrand, int_0^tau integrand dx) pairs with a log or power
     singularity at x = 0."""

@@ -151,7 +151,6 @@ SCRIPTS = SPANS.parent.parent / "scripts"
 
 @pytest.mark.parametrize("name, argv", [
     ("verify_presets", []),
-    ("convergence_study", ["--n", "8", "--doublings", "1"]),
     ("subdiffusion_demo", ["--m", "4", "--n", "8"]),
 ])
 def test_scripts_run_at_small_sizes(name, argv, capsys):

@@ -240,6 +240,57 @@ class TestSecondKindEngine:
         np.testing.assert_allclose(solve(a * r1 + b * r2), a * u1 + b * u2,
                                    rtol=1e-12, atol=1e-12 * (abs(a) + abs(b)))
 
+    @staticmethod
+    def zero_kernel(y, x):
+        return np.zeros_like(y)
+
+    NODE_VALUE = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+
+    @given(n=st.integers(1, 96), grading=st.floats(1.0, 4.0),
+           start=st.sampled_from(["finite", "inf", "nan"]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_memoryless_is_the_zero_kernel_stepping(self, n, grading, start, data):
+        # m = None solves d u = r in one vector step; it has the bits of the
+        # stepping fed a kernel of zeros, over up to three row blocks, with
+        # or without u(0) from r(0)
+        mesh = Mesh(1.0, n, grading)
+        d = np.array(data.draw(st.lists(self.NODE_VALUE, min_size=n + 1,
+                                        max_size=n + 1)))
+        r = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n + 1,
+                                        max_size=n + 1)))
+        r[0] = {"finite": r[0], "inf": np.inf, "nan": np.nan}[start]
+        memoryless = solve_second_kind(SecondKindProblem(d, None, r), mesh)
+        stepped = solve_second_kind(SecondKindProblem(d, self.zero_kernel, r), mesh)
+        np.testing.assert_array_equal(memoryless.u, stepped.u)
+        assert memoryless.meta == {"mesh": {"n": n, "r": grading},
+                                   "memory_skipped": True, "memory_points": 0}
+
+    @pytest.mark.parametrize("small, non_finite, message", [
+        (5, None, "diagonal coefficient below 1e-12 at t = {t5}"),
+        (None, 5, "non-finite solution value at t = {t5}"),
+        (5, 5, "diagonal coefficient below 1e-12 at t = {t5}"),
+        (6, 5, "non-finite solution value at t = {t5}"),
+        (5, 40, "diagonal coefficient below 1e-12 at t = {t5}"),
+        (1, None, "diagonal coefficient below 1e-12 at t = {t1}"),
+    ], ids=["small-d", "non-finite", "small-d-first", "non-finite-earlier",
+            "small-d-earlier", "small-d-at-t1"])
+    @pytest.mark.parametrize("bad_r", [np.nan, np.inf])
+    def test_memoryless_fails_at_the_first_offending_node(self, small, non_finite,
+                                                           message, bad_r):
+        # the first node with a small d or a non-finite u names the failure,
+        # the d check first at one node, as in the stepping
+        mesh = Mesh(1.0, 48, 2.0)
+        t = mesh.points
+        d, r = np.ones(49), np.ones(49)
+        if small is not None:
+            d[small] = 1e-13
+        if non_finite is not None:
+            r[non_finite] = bad_r
+        want = message.format(t1=t[1], t5=t[5])
+        for m in (None, self.zero_kernel):
+            with pytest.raises(NumericalError) as err:
+                solve_second_kind(SecondKindProblem(d, m, r), mesh)
+            assert str(err.value) == want
 
     def test_kernel_gets_the_exact_newest_panel_lags(self):
         # m(y, x) receives lag_rule's own lags, down to ~6e-19 tau, which
