@@ -122,8 +122,7 @@ class RunConfig:
     c: float
     manufactured: bool
     n: int
-    grading: Optional[float]     # None -> default_grading(alpha0)
-    uniform: bool
+    grading: Optional[float]     # None -> default_grading(alpha0); 1 if uniform
     identity_tol: float
     out_dir: str
     pde_m: int
@@ -172,7 +171,12 @@ class RunConfig:
         initial_expr = pde.get("initial", "0")
         _check_expr(initial_expr, "pde initial")
 
-        grading = mesh.get("r")
+        grading = _get_float(mesh, "r", None, lo=1.0)
+        if _get_bool(mesh, "uniform", False):
+            if grading is not None:
+                raise ConfigError(f"[mesh] r = {grading:g} and uniform = true conflict: "
+                                  "uniform means r = 1; give one of them")
+            grading = 1.0
         return cls(
             alpha_expr=alpha_expr,
             b=_get_float(kernel, "b", 1.0, lo=1e-12),
@@ -183,8 +187,7 @@ class RunConfig:
             c=_get_float(forcing, "c", 0.0),
             manufactured=_get_bool(forcing, "manufactured", False),
             n=_get_int(mesh, "n", 128, lo=1),
-            grading=None if grading is None else _get_float(mesh, "r", None, lo=1.0),
-            uniform=_get_bool(mesh, "uniform", False),
+            grading=grading,
             identity_tol=_get_float(tol, "identity", 1e-8, lo=0.0),
             out_dir=out.get("dir", "."),
             pde_m=_get_int(pde, "m", 32, lo=1),
@@ -215,11 +218,8 @@ class RunConfig:
             raise ConfigError(f"bad weight: {exc}") from exc
 
     def make_mesh(self, n: Optional[int] = None) -> Mesh:
-        if self.uniform:
-            r = 1.0
-        elif self.grading is not None:
-            r = self.grading
-        else:
+        r = self.grading
+        if r is None:
             r = default_grading(self.make_pair().alpha0)
         return Mesh(self.b, n if n is not None else self.n, r)
 

@@ -22,7 +22,7 @@ Four tools, all serving integrals whose singular factor is known a priori:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -124,20 +124,21 @@ def _jacobi_recurrence(n, a, b):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Graded time grid t_i = b (i/N)^r, i = 0..N."""
+    """Graded time grid t_i = b (i/N)^r, i = 0..N.  points holds the nodes,
+    built once and read-only; equality and hashing use (b, n, r) alone."""
 
     b: float
     n: int
     r: float = 1.0
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.b <= 0 or self.n < 1 or self.r < 1.0:
             raise ValidationError(f"bad mesh (b={self.b}, N={self.n}, r={self.r})")
-
-    @property
-    def points(self) -> np.ndarray:
         i = np.arange(self.n + 1, dtype=float)
-        return self.b * (i / self.n) ** self.r
+        points = self.b * (i / self.n) ** self.r
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
 
     @property
     def tau(self) -> np.ndarray:
@@ -147,8 +148,14 @@ class Mesh:
     def is_uniform(self) -> bool:
         return self.r == 1.0
 
-    def refined(self, factor: int = 2) -> "Mesh":
-        return Mesh(self.b, self.n * factor, self.r)
+    def refined(self) -> "Mesh":
+        """The mesh of 2N steps, whose even nodes are this one's."""
+        return Mesh(self.b, 2 * self.n, self.r)
+
+    def nearest(self, ts) -> np.ndarray:
+        """Index of the node nearest each t in ts, the lower one on a tie."""
+        ts = np.asarray(ts, dtype=float)
+        return np.argmin(np.abs(self.points - ts[..., None]), axis=-1)
 
 
 def default_grading(alpha0: float) -> float:

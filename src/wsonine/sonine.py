@@ -332,7 +332,8 @@ def associate_from_wsc2(data: SonineData, mesh,
     t = mesh.points
     r = np.full(mesh.n + 1, np.inf)     # K(0) is infinite: no u(0)
     r[1:] = np.asarray(weight(0.0, t[1:])) * pair.K(t[1:])
-    rep = vie.solve_second_kind(vie.SecondKindProblem(G00, memory, r), mesh)
-    cps = np.asarray([vie.snap_to_mesh(mesh, c * pair.b) for c in checkpoints])
-    res = np.asarray([vie.conv_with_k(pair, mesh, rep.u, tc) - 1.0 for tc in cps])
-    return vie.AssociateConstruction(rep.t, rep.u, cps, res)
+    u = vie.solve_second_kind(vie.SecondKindProblem(G00, memory, r), mesh).u
+    nodes = vie.checkpoint_nodes(mesh, np.asarray(checkpoints, dtype=float) * pair.b)
+    conv = vie.conv_at_nodes(pair.alpha0, mesh, nodes, lambda i: (
+        u[: i + 1] * np.asarray(pair.k_smooth_part(t[i] - t[: i + 1]))))
+    return vie.AssociateConstruction(t, u, t[nodes], conv - 1.0)

@@ -216,8 +216,10 @@ class SolveReport:
 
 # ------------------------------------------------------------------ engine
 
-def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
-                      d_min: float = 1e-12) -> SolveReport:
+D_MIN = 1e-12   # the smallest |d| the engine divides by
+
+
+def solve_second_kind(problem: SecondKindProblem, mesh: Mesh) -> SolveReport:
     """Time-stepping product integration: piecewise-linear solution, memory
     term by quadrature.memory_panel_weights, read ROW_BLOCK rows at a time
     (2-point Gauss on interior panels, lag_rule in the lag variable on the
@@ -226,14 +228,14 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
     it was evaluated at, and meta["mesh"] records the mesh's n and r.
     Without memory (m None) the equation is d u = r, solved in one vector
     step that fails where the stepping would first fail: at the first node
-    with |d| < d_min or a non-finite u, the d check first."""
+    with |d| < D_MIN or a non-finite u, the d check first."""
     t = mesh.points
     n = mesh.n
     u = np.zeros(n + 1)
     d = _on_nodes("d", problem.d, n)
     r = _on_nodes("r", problem.r, n)
     u0 = None      # u(0) = r(0)/d(0) when both are usable, else the first panel's
-    if np.isfinite(r[0]) and abs(d[0]) >= d_min:
+    if np.isfinite(r[0]) and abs(d[0]) >= D_MIN:
         u0 = u[0] = r[0] / d[0]
 
     points = 0
@@ -244,7 +246,7 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
         return problem.m(y, x)
 
     if problem.m is None:
-        _divide_out(u, d, r, t, d_min)
+        _divide_out(u, d, r, t)
     else:
         for a in range(0, n + 1, ROW_BLOCK):
             b = min(a + ROW_BLOCK, n + 1)
@@ -252,9 +254,9 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
             for i in range(max(a, 1), b):
                 ti = t[i]
                 di = float(d[i])
-                if abs(di) < d_min:
+                if abs(di) < D_MIN:
                     raise NumericalError(
-                        f"diagonal coefficient below {d_min} at t = {ti}")
+                        f"diagonal coefficient below {D_MIN} at t = {ti}")
                 ri = float(r[i])
                 c0, c1 = w0[i - a, :i], w1[i - a, :i]
                 # every panel but the newest acts on known values; on the
@@ -275,19 +277,19 @@ def solve_second_kind(problem: SecondKindProblem, mesh: Mesh,
                                          "memory_points": points})
 
 
-def _divide_out(u, d, r, t, d_min):
+def _divide_out(u, d, r, t):
     """u[1:] = r[1:] / d[1:], raising as the stepping would at the first node
-    where |d| < d_min or u is not finite (the d check first at a node); a
+    where |d| < D_MIN or u is not finite (the d check first at a node); a
     non-finite u[0] makes u[1] non-finite, as its step multiplies it by 0."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         u[1:] = r[1:] / d[1:]
-    small = np.abs(d[1:]) < d_min
+    small = np.abs(d[1:]) < D_MIN
     bad = small | ~np.isfinite(u[1:])
     bad[0] |= not np.isfinite(u[0])
     if np.any(bad):
         i = int(np.argmax(bad))
         if small[i]:
-            raise NumericalError(f"diagonal coefficient below {d_min} at t = {t[i + 1]}")
+            raise NumericalError(f"diagonal coefficient below {D_MIN} at t = {t[i + 1]}")
         raise NumericalError(f"non-finite solution value at t = {t[i + 1]}")
 
 
@@ -302,20 +304,7 @@ def _on_nodes(name: str, values, n: int) -> np.ndarray:
             f"the mesh has {n + 1} nodes") from None
 
 
-# ----------------------------------------------------- mesh/metric helpers
-
-def snap_to_mesh(mesh: Mesh, t: float) -> float:
-    pts = mesh.points
-    return float(pts[int(np.argmin(np.abs(pts - t)))])
-
-
-def node_index(mesh: Mesh, t: float) -> int:
-    pts = mesh.points
-    i = int(np.argmin(np.abs(pts - t)))
-    if abs(pts[i] - t) > 1e-9 * max(1.0, mesh.b):
-        raise ValidationError(f"t = {t} is not a mesh node")
-    return i
-
+# ------------------------------------------------ mesh/checkpoint helpers
 
 def weighted_l1_error(mesh: Mesh, u: np.ndarray, exact_fn) -> float:
     """Relative discrete weighted-L1 error sum tau_i |u - u_ex|(t_i), skipping
@@ -326,28 +315,21 @@ def weighted_l1_error(mesh: Mesh, u: np.ndarray, exact_fn) -> float:
     return float(np.sum(tau * np.abs(u[1:] - ue)) / np.sum(tau * np.abs(ue)))
 
 
-def max_node_error(mesh: Mesh, u: np.ndarray, exact_fn, skip_first=False) -> float:
-    t = mesh.points
-    lo = 1 if skip_first else 0
-    ue = np.asarray(exact_fn(t[lo:]), dtype=float)
-    return float(np.max(np.abs(u[lo:] - ue)))
+def max_node_error(mesh: Mesh, u: np.ndarray, exact_fn) -> float:
+    return float(np.max(np.abs(u - np.asarray(exact_fn(mesh.points), dtype=float))))
 
 
-# ------------------------------------------------------ convolution helpers
-
-def conv_with_K(pair: KernelPair, mesh: Mesh, u: np.ndarray, t: float) -> float:
-    """int_0^t K(t-s) uhat(s) ds at a mesh node, exact power moments."""
-    i = node_index(mesh, t)
-    w = power_conv_weights(1.0 - pair.alpha0, mesh, i)
-    return float(np.dot(w, u[: i + 1])) / pair.assoc_norm
+def checkpoint_nodes(mesh: Mesh, checkpoints) -> np.ndarray:
+    """The node nearest each checkpoint, in order, the t = 0 node dropped."""
+    nodes = mesh.nearest(checkpoints)
+    return nodes[nodes > 0]
 
 
-def conv_with_k(pair: KernelPair, mesh: Mesh, u: np.ndarray, t: float) -> float:
-    """int_0^t k(t-s) uhat(s) ds using the s^(-alpha0) x smooth split."""
-    i = node_index(mesh, t)
-    w = power_conv_weights(pair.alpha0, mesh, i)
-    phi = u[: i + 1] * np.asarray(pair.k_smooth_part(t - mesh.points[: i + 1]))
-    return float(np.dot(w, phi))
+def conv_at_nodes(beta: float, mesh: Mesh, nodes, phi) -> np.ndarray:
+    """int_0^{t_i} (t_i - s)^(-beta) phihat_i(s) ds at each node i >= 1 in
+    nodes, phihat_i the piecewise-linear interpolant of phi(i), the values
+    on t[:i+1]: one power_conv_weights row per node."""
+    return np.array([np.dot(power_conv_weights(beta, mesh, i), phi(i)) for i in nodes])
 
 
 SPLIT_CONV_LEVELS = 40   # graded depth of the right-hand sides' split_conv
@@ -538,27 +520,20 @@ def solve_nonlocal_ode(problem: NonlocalOdeProblem, mesh: Mesh,
 
 def residual_first_kind(problem: FirstKindProblem, mesh: Mesh, u: np.ndarray,
                         checkpoints) -> tuple:
-    """Residual of the original first-kind equation at mesh-node checkpoints,
-    using the pure-power split of k (or K) and the piecewise-linear u."""
+    """Residual of the original first-kind equation at the nodes nearest the
+    checkpoints (t = 0 dropped), using the pure-power split of k (or K) and
+    the piecewise-linear u; returns those nodes and the residuals."""
     pair, weight = problem.pair, problem.weight
-    pts = mesh.points
-    # each checkpoint's nearest node, t = 0 dropped
-    nodes = np.argmin(np.abs(pts - np.asarray(checkpoints, float)[:, None]), axis=1)
-    nodes = nodes[nodes > 0]
-    f = _values(problem.forcing.f, pts[nodes])
-    res = np.empty(nodes.size)
-    for j, i in enumerate(nodes):
-        tc = pts[i]
-        if problem.variant == "weighted-k":
-            w = power_conv_weights(pair.alpha0, mesh, i)
-            sgrid = pts[: i + 1]
-            phi = (np.asarray(weight(sgrid, tc))
-                   * np.asarray(pair.k_smooth_part(tc - sgrid)) * u[: i + 1])
-            val = float(np.dot(w, phi))
-        else:
-            val = conv_with_K(pair, mesh, u, tc)
-        res[j] = val - float(f[j])
-    return pts[nodes], res
+    t = mesh.points
+    nodes = checkpoint_nodes(mesh, checkpoints)
+    if problem.variant == "weighted-k":
+        conv = conv_at_nodes(pair.alpha0, mesh, nodes, lambda i: (
+            np.asarray(weight(t[: i + 1], t[i]))
+            * np.asarray(pair.k_smooth_part(t[i] - t[: i + 1])) * u[: i + 1]))
+    else:
+        conv = conv_at_nodes(1.0 - pair.alpha0, mesh, nodes,
+                             lambda i: u[: i + 1]) / pair.assoc_norm
+    return t[nodes], conv - _values(problem.forcing.f, t[nodes])
 
 
 @dataclass
@@ -576,13 +551,13 @@ class AssociateConstruction:
 def construct_csc_associate(data: SonineData, mesh: Mesh,
                             checkpoints=(0.25, 0.5, 1.0)) -> AssociateConstruction:
     """Solve the K-kernel first-kind equation with f = 1; the solution is an
-    associate of K in the classical condition, verified at checkpoints."""
+    associate of K in the classical condition, verified by that equation's
+    residual at the checkpoints (fractions of b)."""
     problem = FirstKindProblem(data.pair, data.weight, Forcing.constant(1.0),
                                variant="K-kernel")
     rep = solve_first_kind(problem, mesh, data)
-    pair = data.pair
-    cps = np.asarray([snap_to_mesh(mesh, c * pair.b) for c in checkpoints])
-    res = np.asarray([conv_with_K(pair, mesh, rep.u, tc) - 1.0 for tc in cps])
+    cps, res = residual_first_kind(problem, mesh, rep.u,
+                                   np.asarray(checkpoints, dtype=float) * data.pair.b)
     return AssociateConstruction(rep.t, rep.u, cps, res)
 
 

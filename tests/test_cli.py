@@ -172,6 +172,21 @@ class TestConfigParsing:
         assert summary["status"] == "config-error"
         assert "unknown section" in summary["error"]
 
+    def test_uniform_with_r_exits_2(self, tmp_path, capsys):
+        # uniform = true means r = 1, so it cannot be combined with r = 4
+        code, _ = run_cli(tmp_path, ODE_SQRT + "uniform = true\n",
+                          "solve", "--kind", "ode")
+        summary, _ = last_json(capsys)
+        assert code == 2
+        assert summary["status"] == "config-error"
+        assert "r = 4" in summary["error"] and "uniform = true" in summary["error"]
+
+    def test_uniform_alone_is_r_1(self):
+        cfg = RunConfig.from_text(ODE_SQRT.replace("r = 4", "uniform = true"))
+        assert cfg.grading == 1.0 and cfg.make_mesh().is_uniform
+        cfg = RunConfig.from_text(ODE_SQRT + "uniform = false\n")
+        assert cfg.make_mesh().r == 4.0
+
 
 class TestVerify:
     def test_good_config_passes(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -108,7 +109,22 @@ class TestMesh:
         assert Mesh(1.0, 8).is_uniform
 
     def test_refined(self):
-        assert Mesh(1.0, 8, 2.0).refined().n == 16
+        mesh = Mesh(1.0, 8, 2.0)
+        assert mesh.refined() == Mesh(1.0, 16, 2.0)
+        np.testing.assert_array_equal(mesh.refined().points[::2], mesh.points)
+
+    def test_points_built_once_read_only_and_not_compared(self):
+        mesh = Mesh(2.0, 4, 2.0)
+        assert mesh.points is mesh.points
+        with pytest.raises(ValueError):
+            mesh.points[1] = 0.0
+        assert repr(mesh) == "Mesh(b=2.0, n=4, r=2.0)"
+        assert mesh == Mesh(2.0, 4, 2.0) and hash(mesh) == hash(Mesh(2.0, 4, 2.0))
+        assert mesh != Mesh(2.0, 4, 3.0)
+        # replace builds the nodes of the new mesh
+        wider = dataclasses.replace(mesh, b=4.0)
+        np.testing.assert_array_equal(wider.points, 2.0 * mesh.points)
+        assert not wider.points.flags.writeable
 
     def test_validation(self):
         with pytest.raises(ValidationError):

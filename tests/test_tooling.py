@@ -1,9 +1,12 @@
 """The benchmark's span tracer patches library names from outside
 (``perfbench/spans.py``); a rename or a removed module global makes
 ``perfbench/run.py --trace 1`` fail, so the tracer is exercised here, as
-are the benchmark workloads and the scripts under ``scripts/``.  The
-README's config key table is checked against the parser's."""
+are the benchmark workloads and the scripts under ``scripts/``.  A
+module-level import that a library module never reads must be a name the
+tracer patches there.  The README's config key table is checked against
+the parser's."""
 
+import ast
 import importlib.util
 import math
 import re
@@ -125,6 +128,45 @@ def test_tracer_installs_runs_and_uninstalls():
     np.testing.assert_array_equal(again.u, pde.u)
 
 
+def unused_imports(source: str) -> set:
+    """The names bound by a module's top-level imports that its code never
+    reads (from __future__ imports aside)."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"):
+            bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_unused_imports_finds_unread_names():
+    source = ("from __future__ import annotations\nimport os.path, numpy as np\n"
+              "from .a import b, c as d\n\ndef f(x: b):\n    return np.pi + d\n")
+    assert unused_imports(source) == {"os"}
+
+
+def test_unused_library_imports_are_tracer_patched():
+    # a module-level import the module never reads is there only because
+    # Tracer.install() replaces that name on the module; when the tracer
+    # stops patching it, the import goes.  __init__'s imports are the
+    # package's exports.
+    before = patched_names()
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        replaced = {(getattr(owner, "__name__", None), name)
+                    for (owner, name), value in patched_names().items()
+                    if before.get((owner, name)) is not value}
+    finally:
+        tracer.uninstall()
+    package = Path(vie.__file__).parent
+    unused = {(f"wsonine.{path.stem}", name)
+              for path in package.glob("*.py") if path.stem != "__init__"
+              for name in unused_imports(path.read_text())}
+    assert unused <= replaced, sorted(unused - replaced)
+
+
 WORKLOADS = SPANS.parent / "workloads.py"
 
 
@@ -151,7 +193,6 @@ SCRIPTS = SPANS.parent.parent / "scripts"
 
 @pytest.mark.parametrize("name, argv", [
     ("verify_presets", []),
-    ("subdiffusion_demo", ["--m", "4", "--n", "8"]),
 ])
 def test_scripts_run_at_small_sizes(name, argv, capsys):
     spec = importlib.util.spec_from_file_location(f"script_{name}",

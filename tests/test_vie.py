@@ -18,9 +18,8 @@ from wsonine.g2table import G2_TABLE_MIN_POINTS
 from wsonine.sonine import SonineData
 from wsonine.vie import (FirstKindProblem, Forcing, NonlocalOdeProblem,
                          SecondKindProblem, construct_csc_associate,
-                         manufactured_forcing, max_node_error, node_index,
-                         observed_orders, refinement_study,
-                         residual_first_kind, snap_to_mesh,
+                         manufactured_forcing, max_node_error,
+                         observed_orders, refinement_study, residual_first_kind,
                          solve_first_kind, solve_nonlocal_ode,
                          solve_second_kind, transform_first_kind_K,
                          transform_first_kind_weighted, weighted_l1_error)
@@ -386,12 +385,15 @@ class TestG2Table:
 
 
 class TestMeshHelpers:
-    def test_snap_and_index(self):
+    def test_nearest_node(self):
         mesh = Mesh(1.0, 8)
-        assert snap_to_mesh(mesh, 0.49) == 0.5
-        assert node_index(mesh, 0.5) == 4
-        with pytest.raises(ValidationError):
-            node_index(mesh, 0.3)
+        assert mesh.nearest(0.49) == 4
+        assert mesh.nearest(0.5) == 4
+        # a tie goes to the lower node
+        np.testing.assert_array_equal(mesh.nearest([0.0, 0.3, 0.3125, 2.0, -1.0]),
+                                      [0, 2, 2, 8, 0])
+        np.testing.assert_array_equal(vie.checkpoint_nodes(mesh, [0.01, 0.3, 1.0]),
+                                      [2, 8])
 
     def test_weighted_l1_error(self):
         mesh = Mesh(1.0, 4)
@@ -860,23 +862,24 @@ class TestOneRhsBuilder:
 
 
 def per_checkpoint_residuals(problem, mesh, u, checkpoints):
-    """residual_first_kind as it was, kept as a reference: a snap, a node
-    lookup and a forcing call for each checkpoint."""
+    """residual_first_kind as it was, kept as a reference: a node lookup,
+    a weight row and a forcing call for each checkpoint."""
     pair, weight, forcing = problem.pair, problem.weight, problem.forcing
     pts, res = [], []
     for c in checkpoints:
-        tc = snap_to_mesh(mesh, c)
-        i = node_index(mesh, tc)
+        i = int(np.argmin(np.abs(mesh.points - c)))
+        tc = float(mesh.points[i])
         if i == 0:
             continue
+        sgrid = mesh.points[: i + 1]
         if problem.variant == "weighted-k":
-            w = vie.power_conv_weights(pair.alpha0, mesh, i)
-            sgrid = mesh.points[: i + 1]
+            w = power_conv_rows(pair.alpha0, mesh.points, i, i + 1)[0]
             phi = (np.asarray(weight(sgrid, tc))
                    * np.asarray(pair.k_smooth_part(tc - sgrid)) * u[: i + 1])
             val = float(np.dot(w, phi))
         else:
-            val = vie.conv_with_K(pair, mesh, u, tc)
+            w = power_conv_rows(1.0 - pair.alpha0, mesh.points, i, i + 1)[0]
+            val = float(np.dot(w, u[: i + 1])) / pair.assoc_norm
         pts.append(tc)
         res.append(val - float(forcing.f(tc)))
     return np.asarray(pts), np.asarray(res)
@@ -1055,7 +1058,9 @@ class TestAssociateConstruction:
         mesh = Mesh(1.0, 1024, 4.0)
         t = mesh.points
         u = np.concatenate(([t[1] ** -0.5], t[1:] ** -0.5))
-        res = vie.conv_with_K(const_pair, mesh, u, snap_to_mesh(mesh, 0.25)) - 1.0
+        conv = vie.conv_at_nodes(1.0 - const_pair.alpha0, mesh, mesh.nearest([0.25]),
+                                 lambda i: u[: i + 1])
+        res = conv[0] / const_pair.assoc_norm - 1.0
         assert abs(res) <= 1e-3
 
 
